@@ -107,7 +107,7 @@ def _emit(obj):
 def cmd_ideal_frame(args):
     p = poset_from_json(_read_json(args.poset))
     cov = _named(as_poset(p) if args.coverage != "trivial" else p, args.coverage)
-    fr = ideal_frame(saturate(cov))
+    fr = ideal_frame(cov)
     _emit(_envelope({"frame": frame_to_json(fr)}))
     return 0
 

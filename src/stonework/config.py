@@ -6,6 +6,8 @@ STONEWORK_GUARD in the environment overrides the frame-size guard.
 
 import os
 
+from .errors import InvalidStructure
+
 # Hard cap on the number of elements a constructed frame may have.
 FRAME_GUARD = 2 ** 20
 
@@ -35,7 +37,10 @@ def frame_guard(override=None):
         return _frame_guard_override
     env = os.environ.get("STONEWORK_GUARD")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InvalidStructure(f"STONEWORK_GUARD must be an integer, not {env!r}") from None
     return FRAME_GUARD
 
 

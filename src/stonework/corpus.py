@@ -189,7 +189,7 @@ def random_site(max_n, rng):
             sub = mask_of(i for i in bits(p.dn[c]) if rng.random() < 0.5)
             fams.append(sub)
         covers.append(frozenset(fams))
-    cov = Coverage(p, covers, _unchecked=True)
+    cov = Coverage(p, covers)
     return p, saturate(cov)
 
 

@@ -7,6 +7,7 @@ down-closed subsets of (c)down, held as bitmasks.
 """
 
 from itertools import combinations
+from operator import or_
 
 from .bits import bits, mask_of, popcount, submasks
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
@@ -15,6 +16,7 @@ from .order import (
     FiniteFrame,
     Preorder,
     as_poset,
+    closed_family,
     frame_of_down_sets,
 )
 
@@ -27,7 +29,7 @@ class Coverage:
     every smaller element, so any generator set yields a legal topology.
     """
 
-    def __init__(self, base, covers, trusted_stable=False, _unchecked=False):
+    def __init__(self, base, covers, trusted_stable=False):
         self.base = base
         self.covers = tuple(frozenset(fams) for fams in covers)
         # set by constructors whose kinds are weakly stable by a theorem;
@@ -110,7 +112,7 @@ class GrothendieckTopology:
 
 
 def trivial_coverage(p):
-    return Coverage(p, [frozenset([p.dn[c]]) for c in range(p.n)], trusted_stable=True, _unchecked=True)
+    return Coverage(p, [frozenset([p.dn[c]]) for c in range(p.n)], trusted_stable=True)
 
 
 def saturate(cov, guard=None):
@@ -243,30 +245,15 @@ def ideal_frame(J, guard=None):
 
     Every J-ideal is the join of the principal ideals of its members, so
     the carrier is generated from the bottom and the principal ideals by
-    closing under binary join (closure of union).
+    closing under join with a principal ideal (closure of union).
     """
     if isinstance(J, Coverage) and not J.trusted_stable:
         J = saturate(J)
     p = J.base
     cl = closure_fn(J)
-    bound = config.frame_guard(guard)
-    elems = {cl(0)}
-    elems.update(cl(p.dn[c]) for c in range(p.n))
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                u = a | b
-                if u in elems:
-                    continue
-                u = cl(u)
-                if u not in elems:
-                    elems.add(u)
-                    nxt.append(u)
-                    if len(elems) > bound:
-                        raise GuardExceeded("ideal frame", len(elems), bound)
-        frontier = nxt
+    principals = [cl(p.dn[c]) for c in range(p.n)]
+    elems = closed_family([cl(0)] + principals, principals, or_, close=cl,
+                          bound=config.frame_guard(guard), what="ideal frame")
     return frame_of_down_sets(sorted(elems), p, join_closure=cl, guard=guard)
 
 
@@ -431,7 +418,7 @@ def named_coverage(p, kind, param=None):
     if kind in ("coherent", "canonical"):
         if not is_distributive_lattice(po):
             raise InvalidStructure(f"{kind} coverage needs a bounded distributive lattice")
-        return Coverage(po, _pairwise_join_covers(po), trusted_stable=True, _unchecked=True)
+        return Coverage(po, _pairwise_join_covers(po), trusted_stable=True)
 
     if kind == "k":
         k = int(param)
@@ -448,7 +435,7 @@ def named_coverage(p, kind, param=None):
                     if po.lub(m) == c:
                         fams.add(m)
             covers.append(frozenset(fams))
-        return Coverage(po, covers, trusted_stable=True, _unchecked=True)
+        return Coverage(po, covers, trusted_stable=True)
 
     if kind == "disjunctive":
         bot, meet = _check_djlat(po)
@@ -461,15 +448,15 @@ def named_coverage(p, kind, param=None):
                 c = po.lub((1 << a) | (1 << b))
                 if c is not None:
                     covers[c].add((1 << a) | (1 << b))
-        return Coverage(po, [frozenset(f) for f in covers], trusted_stable=True, _unchecked=True)
+        return Coverage(po, [frozenset(f) for f in covers], trusted_stable=True)
 
     if kind == "atomic":
         covers = _generated_by(po, _poset_atoms(po), "a weakly atomic meet-semilattice")
-        return Coverage(po, covers, trusted_stable=True, _unchecked=True)
+        return Coverage(po, covers, trusted_stable=True)
 
     if kind == "supercompact":
         covers = _generated_by(po, _poset_supercompacts(po), "a weakly supercompact meet-semilattice")
-        return Coverage(po, covers, trusted_stable=True, _unchecked=True)
+        return Coverage(po, covers, trusted_stable=True)
 
     if kind == "directed":
         if not _is_meet_semilattice_poset(po):
@@ -481,7 +468,7 @@ def named_coverage(p, kind, param=None):
                 if m and po.is_down_closed(m) and po.lub(m) == c and _is_directed(po, m):
                     fams.add(m)
             covers.append(frozenset(fams))
-        return Coverage(po, covers, trusted_stable=True, _unchecked=True)
+        return Coverage(po, covers, trusted_stable=True)
 
     raise InvalidStructure(f"unknown coverage kind {kind!r}")
 
@@ -551,7 +538,7 @@ def induced_coverage(J, dmask):
         covers.append(frozenset(fams))
     # restrictions of covering sieves restrict again, so the induced
     # coverage is weakly stable
-    cov = Coverage(sub, covers, trusted_stable=True, _unchecked=True)
+    cov = Coverage(sub, covers, trusted_stable=True)
     return sub, cov, delems
 
 
@@ -592,14 +579,6 @@ def _check_frame_hom(a, b, f):
                 raise InvalidStructure("map does not preserve binary meets")
             if f[a.join[i][j]] != b.join[f[i]][f[j]]:
                 raise InvalidStructure("map does not preserve binary joins")
-
-
-def is_frame_hom(a, b, f):
-    try:
-        _check_frame_hom(a, b, f)
-        return True
-    except InvalidStructure:
-        return False
 
 
 def subtopology_from_surjection(J, target, f, guard=None):

@@ -344,11 +344,6 @@ def c_compact_elements(fr, inv):
     return Poset(len(elems), up, labels=labels), elems
 
 
-def recover_structure(fr, inv):
-    """Inverse-functor action on objects: the poset of C-compact elements."""
-    return c_compact_elements(fr, inv)
-
-
 def multicomposition_check(fr, inv, family):
     """If a family of C-compact elements itself satisfies C, its join is
     C-compact; the built-in invariants are all multicomposition-stable."""

@@ -56,11 +56,6 @@ def _stone_frame(d, guard=None):
     return ideal_frame(J, guard=guard)
 
 
-def _ideal_masks(d, guard=None):
-    """Coherent ideals of a finite distributive lattice, as masks."""
-    return _stone_frame(d, guard=guard).element_masks
-
-
 def _densely_below(d, ideal_mask, a):
     """Every nonzero b <= a has a nonzero c in the ideal below it."""
     for b in bits(d.poset.dn[a]):

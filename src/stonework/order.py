@@ -358,6 +358,40 @@ class FiniteFrame:
         return f"FiniteFrame(n={self.n}, bot={self.bot}, top={self.top})"
 
 
+def closed_family(seeds, gens, op, close=None, bound=None, what=None):
+    """Least set containing `seeds` and closed under x -> close(op(x, g))
+    for every g in `gens`; `close` defaults to the identity.
+
+    Each new element is combined with the generators only, not with
+    everything found so far.  That is complete for a closure operator
+    applied to unions of generators, because cl(cl(A) u B) = cl(A u B).
+    Raises GuardExceeded(what, size, bound) as soon as the set grows
+    past `bound`.
+    """
+    out = set(seeds)
+    if bound is not None and len(out) > bound:
+        raise GuardExceeded(what, len(out), bound)
+    gens = set(gens)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = op(x, g)
+                if y in out:
+                    continue
+                if close is not None:
+                    y = close(y)
+                    if y in out:
+                        continue
+                out.add(y)
+                nxt.append(y)
+                if bound is not None and len(out) > bound:
+                    raise GuardExceeded(what, len(out), bound)
+        frontier = nxt
+    return out
+
+
 def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=None):
     """Frame whose elements are the given subsets of an ambient carrier.
 

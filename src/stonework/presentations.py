@@ -7,6 +7,7 @@ horn / coherent / geometric fragments; reflection units.
 """
 
 from itertools import product
+from operator import and_, or_
 
 from .bits import bits, mask_of
 from .errors import CheckFailed, GuardExceeded, InvalidStructure, ParseError
@@ -23,6 +24,7 @@ from .order import (
     FiniteFrame,
     Poset,
     as_poset,
+    closed_family,
     frame_of_down_sets,
     iso_search,
     lower_sets,
@@ -173,22 +175,9 @@ def free_frame_on_set(k, guard=None):
     if k > config.ELEMENTAL_GUARD:
         raise GuardExceeded("free frame on a set", k, config.ELEMENTAL_GUARD)
     n = 1 << k
-    bound = config.frame_guard(guard)
     principals = [mask_of(v for v in range(n) if u & ~v == 0) for u in range(n)]
-    fams = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for fam in frontier:
-            for pr in principals:
-                x = fam | pr
-                if x not in fams:
-                    fams.add(x)
-                    nxt.append(x)
-                    if len(fams) > bound:
-                        raise GuardExceeded("free frame on a set", len(fams), bound)
-        frontier = nxt
-    fams = sorted(fams)
+    fams = sorted(closed_family([0], principals, or_, bound=config.frame_guard(guard),
+                                what="free frame on a set"))
     fr = frame_of_down_sets(fams, None, labels=[f"<{bin(m)}>" for m in fams], guard=guard)
     gens = []
     for a in range(k):
@@ -264,28 +253,11 @@ def free_frame_on_cjsl(p, guard=None):
         raise GuardExceeded("free frame on a join-semilattice", p.n, 4)
     _check_all_joins(p)
     n = 1 << p.n
-    bound = config.frame_guard(guard)
     cl = lambda fam: _cjsl_closure(p, fam)
-    bottom = cl(0)
-    elems = {bottom}
-    for u in range(n):
-        princ = cl(mask_of(v for v in range(n) if u & ~v == 0))
-        elems.add(princ)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                x = a | b
-                if x in elems:
-                    continue
-                x = cl(x)
-                if x not in elems:
-                    elems.add(x)
-                    nxt.append(x)
-                    if len(elems) > bound:
-                        raise GuardExceeded("free frame on a join-semilattice", len(elems), bound)
-        frontier = nxt
+    principals = [cl(mask_of(v for v in range(n) if u & ~v == 0)) for u in range(n)]
+    elems = closed_family([cl(0)] + principals, principals, or_, close=cl,
+                          bound=config.frame_guard(guard),
+                          what="free frame on a join-semilattice")
     fr = frame_of_down_sets(sorted(elems), None, labels=None, join_closure=cl, guard=guard)
     eta = []
     for a in range(p.n):
@@ -768,23 +740,11 @@ def present_semantic(pres, guard=None):
     gen_ext = []
     for g in range(len(pres.generators)):
         gen_ext.append(mask_of(i for i, m in enumerate(models) if (m >> g) & 1))
-    family = {0, full}
-    family.update(gen_ext)
-    frontier = list(family)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(family):
-                for x in (a & b, a | b):
-                    if x not in family:
-                        family.add(x)
-                        nxt.append(x)
-        frontier = nxt
+    # in a powerset the generated sublattice is the joins of meets
     bound = config.frame_guard(guard)
-    if len(family) > bound:
-        raise GuardExceeded("presented lattice", len(family), bound)
-    fr = frame_of_down_sets(sorted(family), None,
-                            labels=[f"<{bin(m)}>" for m in sorted(family)], guard=guard)
+    meets = closed_family([full], gen_ext, and_, bound=bound, what="presented lattice")
+    family = sorted(closed_family([0], meets, or_, bound=bound, what="presented lattice"))
+    fr = frame_of_down_sets(family, None, labels=[f"<{bin(m)}>" for m in family], guard=guard)
     idx = {m: i for i, m in enumerate(fr.element_masks)}
     gen_elements = [idx[g] for g in gen_ext]
 

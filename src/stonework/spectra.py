@@ -4,12 +4,14 @@ topologies, sobriety and sobrification, Alexandrov and elemental spaces.
 Points are materialised filters held as bitmasks, never abstract.
 """
 
+from operator import and_, or_
+
 from .bits import bits, mask_of, popcount
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import GrothendieckTopology, ideal_frame, principal_j_ideal, saturate
 from .duality import is_cover_preserving
-from .order import Preorder, frame_of_down_sets, is_flat
+from .order import Preorder, closed_family, frame_of_down_sets, is_flat
 
 
 class TopSpace:
@@ -61,30 +63,8 @@ def _set_label(space, m):
 
 def space_from_subbasis(n, subbasis, labels=None):
     """Close a sub-basis under finite intersections, then unions."""
-    full = (1 << n) - 1
-    inters = {full}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in subbasis:
-                x = a & s
-                if x not in inters:
-                    inters.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    opens = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in inters:
-                x = a | s
-                if x not in opens:
-                    opens.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return TopSpace(n, opens, labels=labels, _checked=True)
+    inters = closed_family([(1 << n) - 1], subbasis, and_)
+    return TopSpace(n, closed_family([0], inters, or_), labels=labels, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +273,6 @@ def enough_points(J, guard=None):
     filters = j_prime_filters(J)
     extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in fr.element_masks}
     return len(extents) == fr.n, fr.n, len(extents)
-
-
-def points_separate_subframe(J, gamma_indices, guard=None):
-    """Whether distinct subframe elements are told apart by some filter."""
-    J = saturate(J)
-    fr = ideal_frame(J, guard=guard)
-    filters = j_prime_filters(J)
-    seen = set()
-    for g in sorted(set(gamma_indices)):
-        m = fr.element_masks[g]
-        key = mask_of(i for i, F in enumerate(filters) if F & m)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 def induced_map(f, J, K):

@@ -11,11 +11,13 @@ which doubles as the independent oracle the generic saturation is
 compared against on small rings.
 """
 
+from operator import or_
+
 from .bits import bits, mask_of, submasks
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import Coverage
-from .order import Poset, frame_of_down_sets, iso_search
+from .order import Poset, closed_family, frame_of_down_sets, iso_search
 from .presentations import Presentation, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
 
@@ -182,45 +184,27 @@ class RingIdeal:
 
 
 def ideal_generated(ring, gens):
-    """The ideal generated by a set: multiples, closed under addition."""
+    """The ideal generated by a set: the sum of principal ideals.
+
+    In a commutative unital ring the principal ideal Ag is closed under
+    addition, so the sumset Ag_1 + ... + Ag_k is already an ideal.  A
+    generator that already lies in the running sum adds nothing.
+    """
     out = {ring.zero}
-    frontier = set()
     for g in gens:
-        for r in range(ring.n):
-            frontier.add(ring.mul[g][r])
-    out |= frontier
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(out):
-                s = ring.add[a][b]
-                if s not in out:
-                    out.add(s)
-                    nxt.append(s)
-        frontier = nxt
+        if g in out:
+            continue
+        multiples = set(ring.mul[g])
+        out = {ring.add[a][b] for a in out for b in multiples}
     return mask_of(out)
 
 
 def all_ideals(ring):
     """Every ideal, as masks ascending: sums of principal ideals."""
     principals = {ideal_generated(ring, [a]) for a in range(ring.n)}
-    elems = set(principals)
-    elems.add(1 << ring.zero)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                u = a | b
-                if u in elems:
-                    continue
-                u = ideal_generated(ring, list(bits(u)))
-                if u not in elems:
-                    elems.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(elems)
+    ideals = closed_family(principals | {1 << ring.zero}, principals, or_,
+                           close=lambda u: ideal_generated(ring, bits(u)))
+    return sorted(ideals)
 
 
 def is_prime_ideal(ring, mask):
@@ -382,18 +366,7 @@ def s_congruence_oracle(ring):
 
 def _semigroup_sums(ring, elems):
     """All sums of one or more elements drawn (with repetition) from a set."""
-    out = set(elems)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for y in elems:
-                t = ring.add[s][y]
-                if t not in out:
-                    out.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return out
+    return closed_family(elems, elems, lambda s, y: ring.add[s][y])
 
 
 def zariski_coverage(ring, s=None, guard=None):
@@ -419,7 +392,7 @@ def zariski_coverage(ring, s=None, guard=None):
                 continue
             if _semigroup_sums(ring, y) & set(bits(xclass)):
                 covers[x].add(t)
-    return Coverage(po, [frozenset(c) for c in covers], trusted_stable=True, _unchecked=True)
+    return Coverage(po, [frozenset(c) for c in covers], trusted_stable=True)
 
 
 def _powers_till_cycle(ring, a):
@@ -464,24 +437,9 @@ def zariski_ideal_frame(ring, s=None, guard=None):
         _, _, s = s_monoid(ring)
     po = s.poset
     cl = lambda m: zariski_closure(ring, s, m)
-    bound = config.frame_guard(guard)
-    elems = {cl(0)}
-    elems.update(cl(po.dn[x]) for x in range(s.n))
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                u = a | b
-                if u in elems:
-                    continue
-                u = cl(u)
-                if u not in elems:
-                    elems.add(u)
-                    nxt.append(u)
-                    if len(elems) > bound:
-                        raise GuardExceeded("zariski ideal frame", len(elems), bound)
-        frontier = nxt
+    principals = [cl(po.dn[x]) for x in range(s.n)]
+    elems = closed_family([cl(0)] + principals, principals, or_, close=cl,
+                          bound=config.frame_guard(guard), what="zariski ideal frame")
     return frame_of_down_sets(sorted(elems), po, join_closure=cl, guard=guard)
 
 

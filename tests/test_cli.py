@@ -132,6 +132,22 @@ class TestCommands:
         assert code == 1
         assert json.loads(out)["error"] == "InvalidStructure"
 
+    def test_ideal_frame_chain17_skips_saturation(self, capsys, tmp_path):
+        # named coverages never need saturation, so its 16-element guard does not apply
+        f = tmp_path / "chain17.json"
+        f.write_text(json.dumps({"elements": [f"c{i}" for i in range(17)],
+                                 "leq": [[i, i + 1] for i in range(16)]}))
+        code, out = run(capsys, "ideal-frame", str(f))
+        assert code == 0
+        assert len(json.loads(out)["result"]["frame"]["elements"]) == 18
+
+    def test_bad_guard_env_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("STONEWORK_GUARD", "abc")
+        code, out = run(capsys, "free", "--what", "mslat", "--gens", "1")
+        assert code == 1
+        data = json.loads(out)
+        assert data["error"] == "InvalidStructure" and "STONEWORK_GUARD" in data["message"]
+
     def test_missing_file_exit_1(self, capsys):
         code, out = run(capsys, "ideal-frame", "no-such-file.json")
         assert code == 1

@@ -1,14 +1,17 @@
 """order-core: preorders, quotients, lower sets, flatness, iso search."""
 
+from operator import or_
+
 import pytest
 
 from stonework.bits import bits, popcount
 from stonework.corpus import posets_upto
-from stonework.errors import InvalidStructure
+from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import (
     MonotoneMap,
     Poset,
     as_poset,
+    closed_family,
     identity_map,
     is_flat,
     iso_search,
@@ -108,6 +111,19 @@ class TestLowerUpperSets:
     def test_upper_sets_is_lower_sets_of_op(self):
         for p in posets_upto(4):
             assert iso_search(upper_sets(p), lower_sets(p.op())) is not None
+
+
+class TestClosedFamily:
+    def test_unions_of_principals_are_the_down_sets(self):
+        for p in posets_upto(4):
+            assert closed_family([0], p.dn, or_) == set(brute_down_sets(p))
+
+    def test_guard_stops_at_bound_plus_one(self):
+        with pytest.raises(GuardExceeded) as exc:
+            closed_family([0], [1, 2, 4, 8], or_, bound=5, what="subsets of four")
+        assert (exc.value.what, exc.value.size, exc.value.bound) == ("subsets of four", 6, 5)
+        assert str(exc.value) == "subsets of four would need 6 elements, over the guard of 5"
+        assert len(closed_family([0], [1, 2, 4, 8], or_, bound=16)) == 16
 
 
 class TestFlat:

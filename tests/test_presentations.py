@@ -310,6 +310,14 @@ class TestPresent:
         with pytest.raises(GuardExceeded):
             present_lattice(pres)
 
+    def test_semantic_guard_fires_below_lattice_size(self):
+        pres = parse_presentation("generators: a b c\n", "coherent")
+        size = present_semantic(pres).frame.n
+        with pytest.raises(GuardExceeded) as exc:
+            present_semantic(pres, guard=size - 1)
+        assert exc.value.what == "presented lattice"
+        assert present_semantic(pres, guard=size).frame.n == size
+
     def test_congruence_vs_semantic_agree(self):
         texts = [
             "generators: a b\na = b\n",

@@ -1,5 +1,9 @@
 """zariski: rings, S(A), the coverage, L(A), spectra, radicals, op-ideals."""
 
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from math import prod
+
 import pytest
 
 from stonework.bits import mask_of
@@ -9,6 +13,7 @@ from stonework.spectra import j_prime_filters
 from stonework.zariski import (
     FiniteCommRing,
     all_ideals,
+    ideal_generated,
     power_combination_covers,
     op_ideal_lattice,
     op_ideal_space,
@@ -53,12 +58,40 @@ class TestRings:
             FiniteCommRing(2, [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
 
 
+def naive_ideal(ring, gens):
+    """Oracle: grow the set until it is closed under + and under
+    multiplication by every ring element."""
+    out = {ring.zero, *gens}
+    while True:
+        grown = (out | {ring.add[a][b] for a in out for b in out}
+                 | {ring.mul[a][r] for a in out for r in range(ring.n)})
+        if grown == out:
+            return mask_of(out)
+        out = grown
+
+
+def prime_field_products(bound):
+    """Z/q1 x ... x Z/qk for primes q1 <= ... <= qk, k >= 2, at most `bound` elements."""
+    primes = [q for q in range(2, bound // 2 + 1) if all(q % d for d in range(2, q))]
+    for k in range(2, bound.bit_length()):
+        for qs in combinations_with_replacement(primes, k):
+            if prod(qs) <= bound:
+                yield reduce(ring_product, map(ring_zmod, qs))
+
+
 class TestIdeals:
-    def test_zmod6_ideals(self):
-        r = ring_zmod(6)
-        ideals = all_ideals(r)
-        # divisors of 6: (0), (2), (3), (1)
-        assert len(ideals) == 4
+    def test_zmod_ideals_are_divisors(self):
+        # the ideals of Z/n are the (d) for the divisors d of n
+        for n in range(1, 61):
+            divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+            assert len(all_ideals(ring_zmod(n))) == divisors, n
+
+    def test_ideal_generated_matches_naive_fixpoint(self):
+        rings = [ring_zmod(n) for n in range(1, 31)] + list(prime_field_products(36))
+        for r in rings:
+            for size in range(3):
+                for gens in combinations(range(r.n), size):
+                    assert ideal_generated(r, gens) == naive_ideal(r, gens), (r.n, gens)
 
     def test_primes_zmod6(self):
         r = ring_zmod(6)
