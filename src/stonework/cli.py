@@ -28,7 +28,7 @@ from .coverage import (
     trivial_coverage,
 )
 from .duality import check_duality
-from .errors import StoneworkError
+from .errors import ParseError, StoneworkError
 from .formats import (
     coverage_from_json,
     dumps,
@@ -84,15 +84,22 @@ def _read_json(path):
 def _load_site(args):
     """A site from --site FILE (coverage JSON, or poset JSON plus --coverage)."""
     obj = _read_json(args.site)
-    if "covers" in obj:
+    if isinstance(obj, dict) and "covers" in obj:
         return coverage_from_json(obj)
     p = poset_from_json(obj)
     return _named(p, args.coverage)
 
 
+def _int(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} must be an integer, not {value!r}") from None
+
+
 def _named(p, spec):
     if spec.startswith("k:"):
-        return named_coverage(p, "k", int(spec[2:]))
+        return named_coverage(p, "k", _int(spec[2:], "the k of --coverage k:K"))
     return named_coverage(p, spec)
 
 
@@ -119,10 +126,12 @@ def cmd_space(args):
         import os
 
         if os.path.exists(args.gamma):
-            gamma = [int(x) for x in _read_json(args.gamma)]
+            raw = _read_json(args.gamma)
+            if not isinstance(raw, list):
+                raise ParseError("a --gamma file must hold a list of element indices")
         else:
-            gamma = [int(x) for x in args.gamma.split(",")]
-        sp = gamma_subterminal_space(J, gamma)
+            raw = args.gamma.split(",")
+        sp = gamma_subterminal_space(J, [_int(x, "a --gamma index") for x in raw])
     else:
         sp = subterminal_space(J)
     if args.dot:
@@ -204,7 +213,7 @@ def cmd_present(args):
 
 def cmd_zariski(args):
     if args.ring.startswith("zmod:"):
-        ring = ring_zmod(int(args.ring.split(":", 1)[1]))
+        ring = ring_zmod(_int(args.ring.split(":", 1)[1], "the N of --ring zmod:N"))
     else:
         ring = ring_from_json(_read_json(args.ring))
     if args.op_ideals:

@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .bits import bits, mask_of, popcount
+from .coverage import Coverage, all_sieves, saturate, topology_failure
 from .order import Poset, Preorder, lower_sets, preorder_from_pairs
 
 
@@ -112,18 +113,6 @@ def _compositions(total, parts):
     return res
 
 
-def all_sieves(p, c):
-    """Down-closed subsets of (c)down, ascending."""
-    dn = p.dn[c]
-    out = []
-    from .bits import submasks
-
-    for m in submasks(dn):
-        if p.is_down_closed(m):
-            out.append(m)
-    return out
-
-
 def all_grothendieck_topologies(p):
     """Every Grothendieck topology on a preorder (guarded: tiny p only).
 
@@ -131,28 +120,12 @@ def all_grothendieck_topologies(p):
     """
     sieves = [all_sieves(p, c) for c in range(p.n)]
     optional = [[s for s in sieves[c] if s != p.dn[c]] for c in range(p.n)]
-
-    def axioms_ok(J):
-        for c in range(p.n):
-            for s in J[c]:
-                for c2 in bits(p.dn[c]):
-                    if (s & p.dn[c2]) not in J[c2]:
-                        return False
-        for c in range(p.n):
-            for s in sieves[c]:
-                if s in J[c]:
-                    continue
-                for t in J[c]:
-                    if all((s & p.dn[c2]) in J[c2] for c2 in bits(t)):
-                        return False
-        return True
-
     results = []
 
     def build(c, acc):
         if c == p.n:
             J = tuple(frozenset(a) for a in acc)
-            if axioms_ok(J):
+            if topology_failure(p, J, sieves) is None:
                 results.append(J)
             return
         opts = optional[c]
@@ -178,8 +151,6 @@ def random_preorder(n, rng):
 
 def random_site(max_n, rng):
     """A random preorder with a random saturated topology on it."""
-    from .coverage import Coverage, saturate
-
     n = rng.randint(1, max_n)
     p = random_preorder(n, rng)
     covers = []

@@ -14,9 +14,9 @@ from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .order import (
     FiniteFrame,
-    Preorder,
     as_poset,
     closed_family,
+    frame_hom_failure,
     frame_of_down_sets,
 )
 
@@ -87,16 +87,10 @@ class GrothendieckTopology:
             for s in self.sieves[c]:
                 if s & ~p.dn[c] or not p.is_down_closed(s):
                     raise InvalidStructure(f"non-sieve listed at {c}")
-                for c2 in bits(p.dn[c]):
-                    if (s & p.dn[c2]) not in self.sieves[c2]:
-                        raise InvalidStructure(f"stability fails at {c}")
-        for c in range(p.n):
-            for s in submasks(p.dn[c]):
-                if not p.is_down_closed(s) or s in self.sieves[c]:
-                    continue
-                for t in self.sieves[c]:
-                    if all((s & p.dn[c2]) in self.sieves[c2] for c2 in bits(t)):
-                        raise InvalidStructure(f"transitivity fails at {c}")
+        failure = topology_failure(p, self.sieves, [all_sieves(p, c) for c in range(p.n)])
+        if failure is not None:
+            axiom, c = failure
+            raise InvalidStructure(f"{axiom} fails at {c}")
 
     def covers(self, c, sieve):
         return sieve in self.sieves[c]
@@ -109,6 +103,36 @@ class GrothendieckTopology:
 
     def __hash__(self):
         return hash(self.key())
+
+
+def all_sieves(p, c):
+    """Down-closed subsets of (c)down, ascending."""
+    return [s for s in submasks(p.dn[c]) if p.is_down_closed(s)]
+
+
+def topology_failure(p, sieves, all_sieves):
+    """The first Grothendieck axiom that a table of covering sieves
+    breaks, as (axiom, element), or None.  `sieves[c]` holds the covering
+    sieves on c and `all_sieves[c]` every sieve on c.  The corpus calls
+    this once per candidate table, so a failure is a tuple, not a message.
+
+    Stability: a covering sieve restricts to a covering sieve on every
+    smaller element.  Transitivity: a sieve is covering when it restricts
+    to a covering sieve along every member of some covering sieve.
+    """
+    for c in range(p.n):
+        for s in sieves[c]:
+            for c2 in bits(p.dn[c]):
+                if (s & p.dn[c2]) not in sieves[c2]:
+                    return "stability", c
+    for c in range(p.n):
+        for s in all_sieves[c]:
+            if s in sieves[c]:
+                continue
+            for t in sieves[c]:
+                if all((s & p.dn[c2]) in sieves[c2] for c2 in bits(t)):
+                    return "transitivity", c
+    return None
 
 
 def trivial_coverage(p):
@@ -130,7 +154,7 @@ def saturate(cov, guard=None):
     bound = guard if guard is not None else config.SATURATION_GUARD
     if p.n > bound:
         raise GuardExceeded("saturation", p.n, bound)
-    all_s = [tuple(s for s in submasks(p.dn[c]) if p.is_down_closed(s)) for c in range(p.n)]
+    all_s = [all_sieves(p, c) for c in range(p.n)]
     J = [set() for _ in range(p.n)]
     for c in range(p.n):
         J[c].add(p.dn[c])
@@ -527,9 +551,7 @@ def induced_coverage(J, dmask):
         raise InvalidStructure(f"subset is not dense: element {witness} has no covering inside it")
     delems = sorted(bits(dmask))
     pos = {e: i for i, e in enumerate(delems)}
-    up = [mask_of(pos[b] for b in bits(p.up[a] & dmask)) for a in delems]
-    labels = [p.label(e) for e in delems] if p.labels else None
-    sub = Preorder(len(delems), up, labels=labels, _checked=True)
+    sub = p.restrict(delems)
     covers = []
     for a in delems:
         fams = set()
@@ -550,13 +572,11 @@ def comparison_iso(J, dmask, guard=None):
     pos = {e: i for i, e in enumerate(delems)}
     big = ideal_frame(J, guard=guard)
     small = ideal_frame(cov, guard=guard)
-    sidx = {m: i for i, m in enumerate(small.element_masks)}
-    bidx = {m: i for i, m in enumerate(big.element_masks)}
-    phi = [sidx[mask_of(pos[b] for b in bits(m & dmask))] for m in big.element_masks]
+    phi = [small.index[mask_of(pos[b] for b in bits(m & dmask))] for m in big.element_masks]
     psi = []
     for m in small.element_masks:
         lifted = mask_of(delems[i] for i in bits(m))
-        psi.append(bidx[j_closure(J, lifted)])
+        psi.append(big.index[j_closure(J, lifted)])
     for i in range(big.n):
         if psi[phi[i]] != i:
             raise CheckFailed("comparison: psi after phi is not the identity")
@@ -568,17 +588,6 @@ def comparison_iso(J, dmask, guard=None):
 
 # ---------------------------------------------------------------------------
 # subtopologies from frame surjections
-
-
-def _check_frame_hom(a, b, f):
-    if f[a.bot] != b.bot or f[a.top] != b.top:
-        raise InvalidStructure("map does not preserve the bounds")
-    for i in range(a.n):
-        for j in range(a.n):
-            if f[a.meet[i][j]] != b.meet[f[i]][f[j]]:
-                raise InvalidStructure("map does not preserve binary meets")
-            if f[a.join[i][j]] != b.join[f[i]][f[j]]:
-                raise InvalidStructure("map does not preserve binary joins")
 
 
 def subtopology_from_surjection(J, target, f, guard=None):
@@ -597,30 +606,26 @@ def subtopology_from_surjection(J, target, f, guard=None):
         raise InvalidStructure("assignment length does not match Id_J(C)")
     if len(set(f)) != target.n:
         raise InvalidStructure("frame homomorphism is not surjective")
-    _check_frame_hom(big, target, f)
-    bidx = {m: i for i, m in enumerate(big.element_masks)}
+    failure = frame_hom_failure(big, target, f)
+    if failure is not None:
+        raise InvalidStructure(f"map does not preserve {failure}")
     sieves = []
     for c in range(p.n):
-        princ = f[bidx[j_closure(J, p.dn[c])]]
-        good = set()
-        for s in submasks(p.dn[c]):
-            if not p.is_down_closed(s):
-                continue
-            if f[bidx[j_closure(J, s)]] == princ:
-                good.add(s)
-        sieves.append(good)
+        princ = f[big.index[j_closure(J, p.dn[c])]]
+        sieves.append({s for s in all_sieves(p, c) if f[big.index[j_closure(J, s)]] == princ})
     J2 = GrothendieckTopology(p, sieves)
     for c in range(p.n):
         if not J.sieves[c] <= J2.sieves[c]:
             raise CheckFailed("constructed topology does not contain J")
     small = ideal_frame(J2, guard=guard)
-    sidx = {m: i for i, m in enumerate(small.element_masks)}
-    rest = [f[bidx[m]] for m in small.element_masks]
+    rest = [f[big.index[m]] for m in small.element_masks]
     if sorted(rest) != list(range(target.n)):
         raise CheckFailed("restriction of f to J'-ideals is not bijective")
-    _check_frame_hom(small, target, rest)
+    failure = frame_hom_failure(small, target, rest)
+    if failure is not None:
+        raise InvalidStructure(f"map does not preserve {failure}")
     for i, m in enumerate(big.element_masks):
-        closed = sidx[j_closure(J2, m)]
+        closed = small.index[j_closure(J2, m)]
         if rest[closed] != f[i]:
             raise CheckFailed("f does not factor as the J'-closure map")
     return J2

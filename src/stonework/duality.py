@@ -18,9 +18,12 @@ from .order import (
     MonotoneMap,
     Poset,
     as_poset,
+    frame_hom_failure,
+    inclusion_order,
     is_flat,
     lower_sets,
     preorder_from_pairs,
+    set_label,
     upper_sets,
 )
 
@@ -34,14 +37,9 @@ class FrameHom:
         self.f = tuple(f)
         if len(self.f) != dom.n:
             raise InvalidStructure("assignment length mismatch")
-        if self.f[dom.bot] != cod.bot or self.f[dom.top] != cod.top:
-            raise InvalidStructure("frame hom must preserve the bounds")
-        for i in range(dom.n):
-            for j in range(dom.n):
-                if self.f[dom.meet[i][j]] != cod.meet[self.f[i]][self.f[j]]:
-                    raise InvalidStructure(f"meet not preserved at ({i},{j})")
-                if self.f[dom.join[i][j]] != cod.join[self.f[i]][self.f[j]]:
-                    raise InvalidStructure(f"join not preserved at ({i},{j})")
+        failure = frame_hom_failure(dom, cod, self.f)
+        if failure is not None:
+            raise InvalidStructure(f"frame hom must preserve {failure}")
 
     def __call__(self, i):
         return self.f[i]
@@ -97,11 +95,10 @@ def a_on_map(f, J, K, guard=None):
     J, K = saturate(J), saturate(K)
     src = ideal_frame(J, guard=guard)
     dst = ideal_frame(K, guard=guard)
-    didx = {m: i for i, m in enumerate(dst.element_masks)}
     assign = []
     for m in src.element_masks:
         image = mask_of(f(c) for c in bits(m))
-        assign.append(didx[j_closure(K, image)])
+        assign.append(dst.index[j_closure(K, image)])
     return FrameHom(src, dst, assign)
 
 
@@ -109,8 +106,7 @@ def b_on_map(f, guard=None):
     """The frame hom Id(cod) -> Id(dom) taking preimages of ideals."""
     src = ideal_frame(saturate(trivial_coverage(f.cod)), guard=guard)
     dst = ideal_frame(saturate(trivial_coverage(f.dom)), guard=guard)
-    didx = {m: i for i, m in enumerate(dst.element_masks)}
-    assign = [didx[f.preimage_mask(m)] for m in src.element_masks]
+    assign = [dst.index[f.preimage_mask(m)] for m in src.element_masks]
     return FrameHom(src, dst, assign)
 
 
@@ -140,10 +136,9 @@ def recover_monotone_from_b(h, dom_poset, cod_poset):
     """
     adj = left_adjoint(h)
     cod_pidx = {cod_poset.dn[c]: c for c in range(cod_poset.n)}
-    src_idx = {m: i for i, m in enumerate(h.cod.element_masks)}
     g = []
     for c in range(dom_poset.n):
-        tgt_mask = h.dom.element_masks[adj[src_idx[dom_poset.dn[c]]]]
+        tgt_mask = h.dom.element_masks[adj[h.cod.index[dom_poset.dn[c]]]]
         if tgt_mask not in cod_pidx:
             raise CheckFailed("adjoint does not send principal ideals to principal ideals")
         g.append(cod_pidx[tgt_mask])
@@ -338,10 +333,7 @@ def c_compact_elements(fr, inv):
     """Sub-poset of elements whose every cover has a refinement satisfying
     the invariant; canonical ascending order."""
     elems = [l for l in range(fr.n) if is_c_compact(fr, l, inv)]
-    pos = {e: i for i, e in enumerate(elems)}
-    up = [mask_of(pos[b] for b in elems if fr.leq(a, b)) for a in elems]
-    labels = [fr.label(e) for e in elems]
-    return Poset(len(elems), up, labels=labels), elems
+    return fr.poset.restrict(elems), elems
 
 
 def multicomposition_check(fr, inv, family):
@@ -422,12 +414,6 @@ def irreducible_elements(fr, kind):
 # named duality round trips
 
 
-def _poset_from_elements(fr, elems):
-    pos = {e: i for i, e in enumerate(elems)}
-    up = [mask_of(pos[b] for b in elems if fr.leq(a, b)) for a in elems]
-    return Poset(len(elems), up, labels=[fr.label(e) for e in elems])
-
-
 def check_duality(kind, x, guard=None, fast=False):
     """Forward functor, inverse functor, and an explicit round-trip witness.
 
@@ -443,14 +429,12 @@ def check_duality(kind, x, guard=None, fast=False):
         return _check_stone(x, guard)
     if kind == "birkhoff":
         return _check_birkhoff(x, guard)
-    if kind == "lindenbaum":
-        return _check_lindenbaum(x)
+    if kind in ("lindenbaum", "atomdlat"):
+        return _check_atomic(kind, x)
     if kind == "mslat":
         return _check_mslat(x, guard, fast)
     if kind == "mslatstar":
         return _check_mslatstar(x)
-    if kind == "atomdlat":
-        return _check_atomdlat(x)
     if kind == "disjunctive":
         return _check_disjunctive(x)
     raise InvalidStructure(f"unknown duality kind {kind!r}")
@@ -490,14 +474,13 @@ def _check_alexandrov(p, guard, fast=False):
     fr = upper_sets(p, guard=guard)
     if fast:
         elems = supercompact_elements(fr)
-        sc = _poset_from_elements(fr, elems)
+        sc = fr.poset.restrict(elems)
     else:
         sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
     recovered = sc.op()
     # witness: x maps to its principal upper set
-    uidx = {m: i for i, m in enumerate(fr.element_masks)}
     pos = {e: i for i, e in enumerate(elems)}
-    witness = tuple(pos[uidx[p.up[c]]] for c in range(p.n))
+    witness = tuple(pos[fr.index[p.up[c]]] for c in range(p.n))
     return _report("alexandrov", fr, recovered, witness, _witness_ok(p, recovered, witness))
 
 
@@ -508,9 +491,8 @@ def _check_stone(d, guard):
     J = named_coverage(d.poset, "coherent")
     fr = ideal_frame(J, guard=guard)
     comp, elems = c_compact_elements(fr, CompactnessInvariant("Finite"))
-    fidx = {m: i for i, m in enumerate(fr.element_masks)}
     pos = {e: i for i, e in enumerate(elems)}
-    witness = tuple(pos[fidx[principal_j_ideal(J, c)]] for c in range(d.n))
+    witness = tuple(pos[fr.index[principal_j_ideal(J, c)]] for c in range(d.n))
     return _report("stone", fr, comp, witness, _witness_ok(d.poset, comp, witness))
 
 
@@ -519,32 +501,50 @@ def _check_birkhoff(d, guard):
     if not isinstance(d, FiniteFrame):
         d = FiniteFrame(as_poset(d))
     irr = irreducible_elements(d, "join-irreducible")
-    irr_poset = _poset_from_elements(d, irr)
+    irr_poset = d.poset.restrict(irr)
     # finite scale: compact ideals on the irreducibles are all lower sets
     rebuilt = lower_sets(irr_poset, guard=guard)
-    ridx = {m: i for i, m in enumerate(rebuilt.element_masks)}
     pos = {e: i for i, e in enumerate(irr)}
     witness = []
     for c in range(d.n):
         below = mask_of(pos[e] for e in irr if d.leq(e, c))
-        witness.append(ridx[below])
+        witness.append(rebuilt.index[below])
     ok = _witness_ok(d.poset, rebuilt.poset, tuple(witness))
     return _report("birkhoff", irr_poset, rebuilt, tuple(witness), ok)
 
 
-def _check_lindenbaum(fr):
-    """Atomic frames ~ powersets of their atoms via psi."""
+def is_atomic(fr):
+    """Every element is the join of the atoms below it."""
     atoms = fr.atoms()
-    if any(fr.join_set(mask_of(a for a in atoms if fr.leq(a, p))) != p for p in range(fr.n)):
-        raise InvalidStructure("frame is not atomic")
+    return all(fr.join_set(mask_of(a for a in atoms if fr.leq(a, x))) == x for x in range(fr.n))
+
+
+def atom_map(fr):
+    """psi: each element to the set of atoms below it, in the powerset
+    frame of the atoms.  Returns (atoms, powerset frame, psi)."""
+    atoms = fr.atoms()
     power = lower_sets(preorder_from_pairs(len(atoms), []))
-    pidx = {m: i for i, m in enumerate(power.element_masks)}
-    pos = {a: i for i, a in enumerate(atoms)}
-    witness = tuple(
-        pidx[mask_of(pos[a] for a in atoms if fr.leq(a, p))] for p in range(fr.n)
+    psi = tuple(
+        power.index[mask_of(k for k, a in enumerate(atoms) if fr.leq(a, x))] for x in range(fr.n)
     )
-    ok = _witness_ok(fr.poset, power.poset, witness)
-    return _report("lindenbaum", atoms, power, witness, ok)
+    return atoms, power, psi
+
+
+_NOT_ATOMIC = {
+    "lindenbaum": "frame is not atomic",
+    "atomdlat": "lattice is not atomic (an element is not a join of atoms)",
+}
+
+
+def _check_atomic(kind, fr):
+    """Atomic frames ~ powersets of their atoms via psi (lindenbaum), and
+    its finite instance AtDLat ~ Set_f (atomdlat)."""
+    if not isinstance(fr, FiniteFrame):
+        fr = FiniteFrame(as_poset(fr))
+    if not is_atomic(fr):
+        raise InvalidStructure(_NOT_ATOMIC[kind])
+    atoms, power, psi = atom_map(fr)
+    return _report(kind, atoms, power, psi, _witness_ok(fr.poset, power.poset, psi))
 
 
 def _check_mslat(m, guard, fast=False):
@@ -554,12 +554,11 @@ def _check_mslat(m, guard, fast=False):
     fr = ideal_frame(J, guard=guard)
     if fast:
         elems = supercompact_elements(fr)
-        sc = _poset_from_elements(fr, elems)
+        sc = fr.poset.restrict(elems)
     else:
         sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
-    fidx = {mk: i for i, mk in enumerate(fr.element_masks)}
     pos = {e: i for i, e in enumerate(elems)}
-    witness = tuple(pos[fidx[m.dn[c]]] for c in range(m.n))
+    witness = tuple(pos[fr.index[m.dn[c]]] for c in range(m.n))
     return _report("mslat", fr, sc, witness, _witness_ok(m, sc, witness))
 
 
@@ -572,7 +571,7 @@ def _check_mslatstar(m):
     """MSLat* ~ MSLat: adjoin-a-strict-bottom against nonzero-part."""
     m = as_poset(m)
     star_masks = _ideal_star(m)
-    star = _poset_from_masks(m, star_masks)
+    star = inclusion_order(star_masks, [set_label(m.label, mk) for mk in star_masks])
     # star must live in MSLat*: bottom (the empty ideal) with no zero divisors
     bot = star_masks.index(0)
     for i, mi in enumerate(star_masks):
@@ -583,36 +582,9 @@ def _check_mslatstar(m):
             if star_masks.index(inter) == bot and i != bot and j != bot:
                 raise CheckFailed("Id_* has zero divisors")
     nonzero = [i for i in range(star.n) if star_masks[i] != 0]
-    recovered = _poset_from_elements_poset(star, nonzero)
+    recovered = star.restrict(nonzero)
     witness = tuple(nonzero.index(star_masks.index(m.dn[c])) for c in range(m.n))
     return _report("mslatstar", star, recovered, witness, _witness_ok(m, recovered, witness))
-
-
-def _poset_from_masks(ambient, masks):
-    up = [mask_of(j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
-    labels = ["{" + ",".join(ambient.label(i) for i in bits(mk)) + "}" for mk in masks]
-    return Poset(len(masks), up, labels=labels)
-
-
-def _poset_from_elements_poset(p, elems):
-    pos = {e: i for i, e in enumerate(elems)}
-    up = [mask_of(pos[b] for b in elems if p.leq(a, b)) for a in elems]
-    return Poset(len(elems), up, labels=[p.label(e) for e in elems])
-
-
-def _check_atomdlat(d):
-    """AtDLat ~ Set_f: atoms and finite powerset, finite instance."""
-    if not isinstance(d, FiniteFrame):
-        d = FiniteFrame(as_poset(d))
-    atoms = d.atoms()
-    for c in range(d.n):
-        if d.join_set(mask_of(a for a in atoms if d.leq(a, c))) != c:
-            raise InvalidStructure("lattice is not atomic (an element is not a join of atoms)")
-    power = lower_sets(preorder_from_pairs(len(atoms), []))
-    pidx = {m: i for i, m in enumerate(power.element_masks)}
-    pos = {a: i for i, a in enumerate(atoms)}
-    witness = tuple(pidx[mask_of(pos[a] for a in atoms if d.leq(a, c))] for c in range(d.n))
-    return _report("atomdlat", atoms, power, witness, _witness_ok(d.poset, power.poset, witness))
 
 
 def dis_ideals(p):
@@ -632,24 +604,28 @@ def dis_ideals(p):
     return out
 
 
-def _check_disjunctive(fr):
-    """Disjunctive frames ~ ideals-with-unique-cover over indecomposables."""
+def dis_map(fr):
+    """phi: each element to the set of indecomposables below it, in
+    Dis(Id(I_F)) ordered by inclusion; None where that set leaves Dis.
+    Returns (indecomposables, their sub-poset I_F, Dis(Id(I_F)), phi)."""
     ind = irreducible_elements(fr, "indecomposable")
-    ind_poset = _poset_from_elements(fr, ind)
+    ind_poset = fr.poset.restrict(ind)
     masks = sorted(dis_ideals(ind_poset))
     for a in masks:
         for b in masks:
             if (a & b) not in masks:
                 raise InvalidStructure("Dis(Id(I_F)) is not closed under finite meets")
-    dis = _poset_from_masks(ind_poset, masks)
+    dis = inclusion_order(masks, [set_label(ind_poset.label, mk) for mk in masks])
+    index = {mk: k for k, mk in enumerate(masks)}
+    phi = tuple(index.get(mask_of(k for k, e in enumerate(ind) if fr.leq(e, a))) for a in range(fr.n))
+    return ind, ind_poset, dis, phi
+
+
+def _check_disjunctive(fr):
+    """Disjunctive frames ~ ideals-with-unique-cover over indecomposables."""
+    _, ind_poset, dis, phi = dis_map(fr)
     # phi must be an isomorphism exactly when fr is disjunctive; the
     # caller asks for the round trip, so disjunctivity is a precondition
-    pos = {e: i for i, e in enumerate(ind)}
-    witness = []
-    for a in range(fr.n):
-        below = mask_of(pos[e] for e in ind if fr.leq(e, a))
-        if below not in masks:
-            raise InvalidStructure("frame is not disjunctive (phi leaves Dis)")
-        witness.append(masks.index(below))
-    ok = _witness_ok(fr.poset, dis, tuple(witness))
-    return _report("disjunctive", ind_poset, dis, tuple(witness), ok)
+    if None in phi:
+        raise InvalidStructure("frame is not disjunctive (phi leaves Dis)")
+    return _report("disjunctive", ind_poset, dis, phi, _witness_ok(fr.poset, dis, phi))

@@ -27,7 +27,7 @@ def poset_from_json(obj):
     try:
         elements = list(obj["elements"])
         pairs = [(int(i), int(j)) for i, j in obj["leq"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad poset object: {exc}")
     labels = [str(e) for e in elements]
     if len(set(labels)) != len(labels):
@@ -50,16 +50,20 @@ def coverage_from_json(obj):
         raw = obj["covers"]
     except KeyError as exc:
         raise ParseError(f"bad coverage object: missing {exc}")
+    if not isinstance(raw, dict):
+        raise ParseError("covers must map element labels to lists of families")
     index = {p.label(i): i for i in range(p.n)}
     covers = [set() for _ in range(p.n)]
     for label, fams in raw.items():
         if label not in index:
             raise ParseError(f"covers mention unknown element {label!r}")
+        if not isinstance(fams, list) or not all(isinstance(fam, list) for fam in fams):
+            raise ParseError(f"the covers of {label!r} must be a list of lists of labels")
         c = index[label]
         for fam in fams:
             try:
                 covers[c].add(mask_of(index[d] for d in fam))
-            except KeyError as exc:
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"covering family mentions unknown element {exc}")
     return Coverage(p, [frozenset(f) for f in covers])
 
@@ -111,8 +115,11 @@ def ring_from_json(obj):
         n = int(obj["n"])
         add = [[int(x) for x in row] for row in obj["add"]]
         mul = [[int(x) for x in row] for row in obj["mul"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad ring object: {exc}")
+    for table in (add, mul):
+        if len(table) != n or any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
+            raise ParseError(f"ring tables must be {n} x {n} with entries in 0..{n - 1}")
     zero = next((z for z in range(n) if all(add[a][z] == a for a in range(n))), None)
     one = next((o for o in range(n) if all(mul[a][o] == a for a in range(n))), None)
     if zero is None or one is None:

@@ -47,8 +47,14 @@ class Preorder:
         cls = Poset if isinstance(self, Poset) else Preorder
         return cls(self.n, self.dn, labels=self.labels, _checked=True)
 
-    def leq_matrix(self):
-        return [[self.leq(i, j) for j in range(self.n)] for i in range(self.n)]
+    def restrict(self, elems):
+        """The induced sub-preorder on `elems`, in the given order, of the
+        same class; element k is labelled as elems[k] is here."""
+        elems = list(elems)
+        pos = {e: k for k, e in enumerate(elems)}
+        inside = mask_of(elems)
+        up = [mask_of(pos[b] for b in bits(self.up[a] & inside)) for a in elems]
+        return type(self)(len(elems), up, labels=[self.label(e) for e in elems])
 
     def key(self):
         return (self.n, self.up)
@@ -79,12 +85,6 @@ class Preorder:
         m = 0
         for i in bits(mask):
             m |= self.dn[i]
-        return m
-
-    def up_closure(self, mask):
-        m = 0
-        for i in bits(mask):
-            m |= self.up[i]
         return m
 
     def down_sets(self):
@@ -197,9 +197,6 @@ class MonotoneMap:
     def __call__(self, i):
         return self.f[i]
 
-    def image_mask(self, mask):
-        return mask_of(self.f[i] for i in bits(mask))
-
     def preimage_mask(self, mask):
         return mask_of(i for i in range(self.dom.n) if (mask >> self.f[i]) & 1)
 
@@ -246,12 +243,18 @@ class FiniteFrame:
     """A finite bounded distributive lattice; finite, so a frame.
 
     Carrier order is a poset on 0..n-1 with explicit meet/join tables.
+    A frame of subsets keeps each element's mask in `element_masks` and
+    maps each mask back to its element in `index`.
     """
 
     def __init__(self, poset, meet=None, join=None, element_masks=None, _checked=False):
         self.poset = as_poset(poset)
         self.n = poset.n
-        self.element_masks = tuple(element_masks) if element_masks is not None else None
+        self.element_masks = None
+        self.index = None
+        if element_masks is not None:
+            self.element_masks = tuple(element_masks)
+            self.index = {m: i for i, m in enumerate(self.element_masks)}
         if meet is None or join is None:
             meet, join = self._tables_from_order()
         self.meet = tuple(tuple(row) for row in meet)
@@ -392,6 +395,17 @@ def closed_family(seeds, gens, op, close=None, bound=None, what=None):
     return out
 
 
+def set_label(name, mask):
+    """The label "{x,y,...}" of a subset, naming each member i by name(i)."""
+    return "{" + ",".join(name(i) for i in bits(mask)) + "}"
+
+
+def inclusion_order(masks, labels=None):
+    """The poset of distinct subsets, listed as bitmasks, under inclusion."""
+    up = [mask_of(j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
+    return Poset(len(masks), up, labels=labels)
+
+
 def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=None):
     """Frame whose elements are the given subsets of an ambient carrier.
 
@@ -404,10 +418,9 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=No
         raise GuardExceeded("frame", len(elems), bound)
     index = {m: i for i, m in enumerate(elems)}
     n = len(elems)
-    up = [mask_of(j for j, mj in enumerate(elems) if mi & ~mj == 0) for i, mi in enumerate(elems)]
     if labels is None and ambient is not None:
-        labels = ["{" + ",".join(ambient.label(i) for i in bits(m)) + "}" for m in elems]
-    poset = Poset(n, up, labels=labels)
+        labels = [set_label(ambient.label, m) for m in elems]
+    poset = inclusion_order(elems, labels)
     meet = [[None] * n for _ in range(n)]
     join = [[None] * n for _ in range(n)]
     for i, mi in enumerate(elems):
@@ -528,13 +541,25 @@ def iso_search(a, b):
         return None
     wit = tuple(assign)
     if isinstance(a, FiniteFrame) and isinstance(b, FiniteFrame):
-        for i in range(n):
-            for j in range(n):
-                if wit[a.meet[i][j]] != b.meet[wit[i]][wit[j]]:
-                    raise CheckFailed("order iso is not a lattice iso")
-                if wit[a.join[i][j]] != b.join[wit[i]][wit[j]]:
-                    raise CheckFailed("order iso is not a lattice iso")
+        if frame_hom_failure(a, b, wit) is not None:
+            raise CheckFailed("order iso is not a lattice iso")
     return wit
+
+
+def frame_hom_failure(a, b, f):
+    """The first frame-homomorphism law that the index assignment
+    f: a -> b breaks, or None: "the bounds", "binary meets" or "binary
+    joins".  Hom searches call this once per candidate, so the law is a
+    constant, not a message naming the elements."""
+    if f[a.bot] != b.bot or f[a.top] != b.top:
+        return "the bounds"
+    for i in range(a.n):
+        for j in range(a.n):
+            if f[a.meet[i][j]] != b.meet[f[i]][f[j]]:
+                return "binary meets"
+            if f[a.join[i][j]] != b.join[f[i]][f[j]]:
+                return "binary joins"
+    return None
 
 
 def transitive_reduction(p):

@@ -19,16 +19,19 @@ from .coverage import (
     principal_j_ideal,
     saturate,
 )
-from .duality import FrameHom, dis_ideals, irreducible_elements
+from .duality import FrameHom, atom_map, dis_map, irreducible_elements, is_atomic
 from .order import (
     FiniteFrame,
     Poset,
     as_poset,
     closed_family,
+    frame_hom_failure,
     frame_of_down_sets,
+    inclusion_order,
     iso_search,
     lower_sets,
     preorder_from_pairs,
+    set_label,
 )
 from .spectra import space_from_subbasis
 
@@ -91,9 +94,8 @@ def extend_filtering(J, frame, f, guard=None):
     src = ideal_frame(Jt, guard=guard)
     assign = [frame.join_set(mask_of(f[c] for c in bits(m))) for m in src.element_masks]
     h = FrameHom(src, frame, assign)
-    sidx = {m: i for i, m in enumerate(src.element_masks)}
     for c in range(Jt.base.n):
-        if h.f[sidx[principal_j_ideal(Jt, c)]] != f[c]:
+        if h.f[src.index[principal_j_ideal(Jt, c)]] != f[c]:
             raise CheckFailed("extension does not restrict to f on principal ideals")
     return h
 
@@ -114,15 +116,8 @@ def enumerate_frame_homs(dom, cod):
             for x in range(dom.n):
                 below = mask_of(values[j] for j, e in enumerate(irr) if dom.leq(e, x))
                 assign.append(cod.join_set(below))
-            if assign[dom.top] != cod.top or assign[dom.bot] != cod.bot:
-                return
-            for a in range(dom.n):
-                for b in range(dom.n):
-                    if assign[dom.meet[a][b]] != cod.meet[assign[a]][assign[b]]:
-                        return
-                    if assign[dom.join[a][b]] != cod.join[assign[a]][assign[b]]:
-                        return
-            homs.append(tuple(assign))
+            if frame_hom_failure(dom, cod, assign) is None:
+                homs.append(tuple(assign))
             return
         for v in range(cod.n):
             ok = True
@@ -144,11 +139,9 @@ def extension_is_unique(J, frame, f, guard=None):
     """Brute-force check that exactly one frame hom restricts to f."""
     h = extend_filtering(J, frame, f, guard=guard)
     Jt = saturate(J)
-    src = h.dom
-    sidx = {m: i for i, m in enumerate(src.element_masks)}
-    princ = [sidx[principal_j_ideal(Jt, c)] for c in range(Jt.base.n)]
+    princ = [h.dom.index[principal_j_ideal(Jt, c)] for c in range(Jt.base.n)]
     matching = [
-        g for g in enumerate_frame_homs(src, frame) if all(g[princ[c]] == f[c] for c in range(Jt.base.n))
+        g for g in enumerate_frame_homs(h.dom, frame) if all(g[princ[c]] == f[c] for c in range(Jt.base.n))
     ]
     return matching == [h.f]
 
@@ -159,10 +152,8 @@ def extension_is_unique(J, frame, f, guard=None):
 
 def free_meet_semilattice(k):
     """P_fin(A)^op for |A| = k: subsets under reverse inclusion."""
-    n = 1 << k
-    up = [mask_of(v for v in range(n) if v & ~u == 0) for u in range(n)]
-    labels = ["{" + ",".join(f"g{a}" for a in bits(u)) + "}" for u in range(n)]
-    return Poset(n, up, labels=labels)
+    masks = range(1 << k)
+    return inclusion_order(masks, [set_label(lambda a: f"g{a}", u) for u in masks]).op()
 
 
 def free_frame_on_set(k, guard=None):
@@ -179,10 +170,7 @@ def free_frame_on_set(k, guard=None):
     fams = sorted(closed_family([0], principals, or_, bound=config.frame_guard(guard),
                                 what="free frame on a set"))
     fr = frame_of_down_sets(fams, None, labels=[f"<{bin(m)}>" for m in fams], guard=guard)
-    gens = []
-    for a in range(k):
-        gmask = mask_of(u for u in range(n) if (u >> a) & 1)
-        gens.append(fr.element_masks.index(gmask))
+    gens = [fr.index[mask_of(u for u in range(n) if (u >> a) & 1)] for a in range(k)]
     return fr, gens
 
 
@@ -264,8 +252,7 @@ def free_frame_on_cjsl(p, guard=None):
         # the unit sends a to the closure of I_a = {U : a in U}; the raw
         # I_a need not be closed because the empty family covers every U
         # containing the bottom
-        ia = cl(mask_of(u for u in range(n) if (u >> a) & 1))
-        eta.append(fr.element_masks.index(ia))
+        eta.append(fr.index[cl(mask_of(u for u in range(n) if (u >> a) & 1))])
     if len(set(eta)) != p.n:
         raise CheckFailed("unit of the free frame is not injective")
     for s in range(1 << p.n):
@@ -539,11 +526,9 @@ def present_horn(pres):
         return out
 
     closed = sorted({close(u) for u in range(1 << k)})
-    idx = {m: i for i, m in enumerate(closed)}
-    up = [mask_of(idx[v] for v in closed if v & ~u == 0) for u in closed]
-    labels = ["{" + ",".join(pres.generators[g] for g in bits(u)) + "}" for u in closed]
-    poset = Poset(len(closed), up, labels=labels)
-    gen_elements = [idx[close(1 << g)] for g in range(k)]
+    labels = [set_label(lambda g: pres.generators[g], u) for u in closed]
+    poset = inclusion_order(closed, labels).op()
+    gen_elements = [closed.index(close(1 << g)) for g in range(k)]
 
     def entails(t1, t2):
         return _horn_norm(t2) & ~close(_horn_norm(t1)) == 0
@@ -745,8 +730,7 @@ def present_semantic(pres, guard=None):
     meets = closed_family([full], gen_ext, and_, bound=bound, what="presented lattice")
     family = sorted(closed_family([0], meets, or_, bound=bound, what="presented lattice"))
     fr = frame_of_down_sets(family, None, labels=[f"<{bin(m)}>" for m in family], guard=guard)
-    idx = {m: i for i, m in enumerate(fr.element_masks)}
-    gen_elements = [idx[g] for g in gen_ext]
+    gen_elements = [fr.index[g] for g in gen_ext]
 
     def extent(t):
         return mask_of(i for i, m in enumerate(models) if _eval_model(t, m))
@@ -832,8 +816,7 @@ def _reflect_site(p, kind, targets, guard):
     cov = named_coverage(p, kind)
     J = saturate(cov)
     fr = ideal_frame(J, guard=guard)
-    fidx = {m: i for i, m in enumerate(fr.element_masks)}
-    eta = [fidx[principal_j_ideal(J, c)] for c in range(p.n)]
+    eta = [fr.index[principal_j_ideal(J, c)] for c in range(p.n)]
     targets = targets if targets is not None else _default_targets()
     checked = 0
     for L in targets:
@@ -858,8 +841,7 @@ def _reflect_bool(L, targets, guard):
         bool_homs = _boolean_homs(B, L, comp)
         if len(frame_homs) != len(bool_homs):
             raise CheckFailed("Boolean adjunction bijection failed")
-        fidx = {m: i for i, m in enumerate(idB.element_masks)}
-        princ = [fidx[principal_j_ideal(J, c)] for c in range(B.n)]
+        princ = [idB.index[principal_j_ideal(J, c)] for c in range(B.n)]
         restricted = sorted(tuple(h[princ[c]] for c in range(B.n)) for h in frame_homs)
         if restricted != sorted(bool_homs):
             raise CheckFailed("restriction to principals does not match Boolean homs")
@@ -875,9 +857,7 @@ def _sub_boolean(L, comp):
         for b in comp:
             if L.meet[a][b] not in cset or L.join[a][b] not in cset:
                 raise CheckFailed("complemented elements not closed under the operations")
-    pos = {e: i for i, e in enumerate(comp)}
-    up = [mask_of(pos[b] for b in comp if L.leq(a, b)) for a in comp]
-    return Poset(len(comp), up, labels=[L.label(e) for e in comp])
+    return L.poset.restrict(comp)
 
 
 def _small_booleans():
@@ -892,14 +872,7 @@ def _boolean_homs(B, L, comp):
     homs = []
     cset = set(comp)
     for f in product(range(L.n), repeat=B.n):
-        if f[B.bot] != L.bot or f[B.top] != L.top:
-            continue
-        ok = all(
-            f[B.meet[i][j]] == L.meet[f[i]][f[j]] and f[B.join[i][j]] == L.join[f[i]][f[j]]
-            for i in range(B.n)
-            for j in range(B.n)
-        )
-        if ok:
+        if frame_hom_failure(B, L, f) is None:
             if not all(v in cset for v in f):
                 raise CheckFailed("a lattice hom from a Boolean algebra left the complemented part")
             homs.append(tuple(f))
@@ -907,15 +880,9 @@ def _boolean_homs(B, L, comp):
 
 
 def _reflect_atomic(F):
-    atoms = F.atoms()
-    power = lower_sets(preorder_from_pairs(len(atoms), []))
-    pidx = {m: i for i, m in enumerate(power.element_masks)}
-    pos = {a: i for i, a in enumerate(atoms)}
-    psi = [pidx[mask_of(pos[a] for a in atoms if F.leq(a, p))] for p in range(F.n)]
+    _, power, psi = atom_map(F)
     hom = FrameHom(F, power, psi)
-    atomic = all(
-        F.join_set(mask_of(a for a in atoms if F.leq(a, p))) == p for p in range(F.n)
-    )
+    atomic = is_atomic(F)
     is_iso = len(set(psi)) == F.n == power.n
     if atomic != is_iso:
         raise CheckFailed("psi is an isomorphism exactly for atomic frames")
@@ -923,24 +890,9 @@ def _reflect_atomic(F):
 
 
 def _reflect_disjunctive(F):
-    ind = irreducible_elements(F, "indecomposable")
-    pos = {e: i for i, e in enumerate(ind)}
-    up = [mask_of(pos[b] for b in ind if F.leq(a, b)) for a in ind]
-    ind_poset = Poset(len(ind), up, labels=[F.label(e) for e in ind])
-    masks = sorted(dis_ideals(ind_poset))
-    for a in masks:
-        for b in masks:
-            if (a & b) not in masks:
-                raise InvalidStructure("Dis(Id(I_F)) not closed under finite meets")
-    phi = []
-    for a in range(F.n):
-        below = mask_of(pos[e] for e in ind if F.leq(e, a))
-        if below not in masks:
-            phi.append(None)
-        else:
-            phi.append(masks.index(below))
+    ind, _, dis, phi = dis_map(F)
     disjunctive = _is_disjunctive_frame(F, ind)
-    is_iso = None not in phi and len(set(phi)) == F.n == len(masks)
+    is_iso = None not in phi and len(set(phi)) == F.n == dis.n
     if disjunctive != is_iso:
         raise CheckFailed("phi is an isomorphism exactly for disjunctive frames")
     return phi, {"kind": "disjunctive", "disjunctive": disjunctive, "iso": is_iso}

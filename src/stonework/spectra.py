@@ -11,7 +11,7 @@ from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import GrothendieckTopology, ideal_frame, principal_j_ideal, saturate
 from .duality import is_cover_preserving
-from .order import Preorder, closed_family, frame_of_down_sets, is_flat
+from .order import Preorder, closed_family, frame_of_down_sets, is_flat, set_label
 
 
 class TopSpace:
@@ -42,7 +42,7 @@ class TopSpace:
     def opens_frame(self):
         """Opens ordered by inclusion; meet is intersection, join union."""
         return frame_of_down_sets(sorted(self.opens), None,
-                                  labels=[_set_label(self, m) for m in sorted(self.opens)])
+                                  labels=[set_label(self.label, m) for m in sorted(self.opens)])
 
     def key(self):
         return (self.n, tuple(sorted(self.opens)))
@@ -55,10 +55,6 @@ class TopSpace:
 
     def __repr__(self):
         return f"TopSpace(points={self.n}, opens={len(self.opens)})"
-
-
-def _set_label(space, m):
-    return "{" + ",".join(space.label(i) for i in bits(m)) + "}"
 
 
 def space_from_subbasis(n, subbasis, labels=None):
@@ -84,8 +80,7 @@ class PrimeFilter:
         return bool((self.members >> c) & 1)
 
     def __repr__(self):
-        names = ",".join(self.base.label(c) for c in bits(self.members))
-        return f"PrimeFilter({{{names}}})"
+        return f"PrimeFilter({set_label(self.base.label, self.members)})"
 
 
 def is_j_prime_filter(J, mask):
@@ -178,9 +173,7 @@ def filter_bijection(J, guard=None):
     pairs = []
     seen = []
     for F in cps:
-        image = mask_of(
-            c for c in range(p.n) if (F >> _mask_index(fr, principal_j_ideal(J, c))) & 1
-        )
+        image = mask_of(c for c in range(p.n) if (F >> fr.index[principal_j_ideal(J, c)]) & 1)
         if image not in jps:
             raise CheckFailed(f"filter image not J-prime: cp={cps} jp={jps}")
         pairs.append((F, image))
@@ -196,10 +189,6 @@ def filter_bijection(J, guard=None):
             raise CheckFailed("inverse filter map mismatch")
         inverse[image] = F
     return pairs, fr, jps
-
-
-def _mask_index(fr, mask):
-    return fr.element_masks.index(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +207,7 @@ def subterminal_space(J, guard=None):
     opens = set()
     for m in fr.element_masks:
         opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
-    labels = ["{" + ",".join(p.label(c) for c in bits(F)) + "}" for F in filters]
+    labels = [set_label(p.label, F) for F in filters]
     space = TopSpace(n, opens, labels=labels)
     subbasis = [mask_of(i for i, F in enumerate(filters) if (F >> c) & 1) for c in range(p.n)]
     generated = space_from_subbasis(n, subbasis, labels=labels)
@@ -227,19 +216,20 @@ def subterminal_space(J, guard=None):
     return space
 
 
-def gamma_subterminal_space(J, gamma_indices, indexing=None, guard=None):
+def gamma_subterminal_space(J, gamma_indices, guard=None):
     """Subterminal topology restricted to a subframe of Id_J(C).
 
     gamma_indices picks elements of ideal_frame(J); they must include the
-    bounds and be closed under binary meet and join.  `indexing` is a
-    surjection from an index set onto a subset of the J-prime filters
-    (given as positions into the canonical filter list); the default is
-    the identity on all filters.
+    bounds and be closed under binary meet and join.  The points are all
+    the J-prime filters.
     """
     J = saturate(J)
     p = J.base
     fr = ideal_frame(J, guard=guard)
     gset = sorted(set(gamma_indices))
+    for g in gset:
+        if not 0 <= g < fr.n:
+            raise InvalidStructure(f"subframe index {g} is outside 0..{fr.n - 1}")
     if fr.bot not in gset or fr.top not in gset:
         raise InvalidStructure("subframe must contain the bounds")
     for a in gset:
@@ -247,18 +237,11 @@ def gamma_subterminal_space(J, gamma_indices, indexing=None, guard=None):
             if fr.meet[a][b] not in gset or fr.join[a][b] not in gset:
                 raise InvalidStructure("subframe must be closed under meet and join")
     filters = j_prime_filters(J)
-    if indexing is None:
-        indexing = list(range(len(filters)))
-    if not all(0 <= i < len(filters) for i in indexing):
-        raise InvalidStructure("indexing must point into the filter list")
     opens = set()
     for g in gset:
         m = fr.element_masks[g]
-        opens.add(mask_of(x for x, fi in enumerate(indexing) if filters[fi] & m))
-    labels = [
-        "{" + ",".join(p.label(c) for c in bits(filters[fi])) + "}" for fi in indexing
-    ]
-    return TopSpace(len(indexing), opens, labels=labels)
+        opens.add(mask_of(x for x, F in enumerate(filters) if F & m))
+    return TopSpace(len(filters), opens, labels=[set_label(p.label, F) for F in filters])
 
 
 def enough_points(J, guard=None):
@@ -415,5 +398,5 @@ def elemental_space(aset_size, guard=None):
         raise GuardExceeded("elemental space", aset_size, bound)
     n = 1 << aset_size
     subbasis = [mask_of(L for L in range(n) if (L >> a) & 1) for a in range(aset_size)]
-    labels = ["{" + ",".join(str(a) for a in bits(L)) + "}" for L in range(n)]
+    labels = [set_label(str, L) for L in range(n)]
     return space_from_subbasis(n, subbasis, labels=labels)

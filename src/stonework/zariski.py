@@ -17,7 +17,7 @@ from .bits import bits, mask_of, submasks
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import Coverage
-from .order import Poset, closed_family, frame_of_down_sets, iso_search
+from .order import Poset, closed_family, frame_of_down_sets, iso_search, set_label
 from .presentations import Presentation, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
 
@@ -478,8 +478,7 @@ def zariski_lattice(ring, guard=None):
         lat = present_semantic(pres)
     if iso_search(lat.frame, fr) is None:
         raise CheckFailed("presented Zariski lattice differs from the ideal-frame construction")
-    idx = {m: i for i, m in enumerate(fr.element_masks)}
-    D = [idx[zariski_closure(ring, s, s.poset.dn[pi[a]])] for a in range(ring.n)]
+    D = [fr.index[zariski_closure(ring, s, s.poset.dn[pi[a]])] for a in range(ring.n)]
     return fr, D
 
 
@@ -518,7 +517,7 @@ def zariski_point_space(ring, s=None):
     opens = set()
     for m in fr.element_masks:
         opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
-    labels = ["{" + ",".join(po.label(c) for c in bits(F)) + "}" for F in filters]
+    labels = [set_label(po.label, F) for F in filters]
     return TopSpace(len(filters), opens, labels=labels), filters
 
 

@@ -1,8 +1,11 @@
 """cli: subcommand behaviour, round trips, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stonework.cli import main
 from stonework.formats import (
@@ -184,3 +187,70 @@ def test_all_named_coverages_reachable(capsys, tmp_path, boolean4_file):
                  "supercompact", "directed", "k:2", "k:3"):
         code, out = run(capsys, "filters", "--site", boolean4_file, "--coverage", kind)
         assert code == 0, (kind, out)
+
+
+CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "content, argv, error",
+    [
+        (CHAIN2, ["ideal-frame", "{f}", "--coverage", "k:abc"], "ParseError"),
+        (None, ["zariski", "--ring", "zmod:abc"], "ParseError"),
+        (CHAIN2, ["space", "--site", "{f}", "--gamma", "0,x"], "ParseError"),
+        (CHAIN2, ["space", "--site", "{f}", "--gamma=0,2,9"], "InvalidStructure"),
+        (CHAIN2, ["space", "--site", "{f}", "--gamma=0,2,-1"], "InvalidStructure"),
+        ({"n": 3, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}, ["zariski", "--ring", "{f}"],
+         "ParseError"),
+        ({"poset": CHAIN2, "covers": [["a"]]}, ["filters", "--site", "{f}"], "ParseError"),
+        ({"poset": CHAIN2, "covers": {"b": "ab"}}, ["filters", "--site", "{f}"], "ParseError"),
+        (5, ["filters", "--site", "{f}"], "ParseError"),
+    ],
+    ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
+         "ring-rows-short", "covers-list", "family-string", "site-number"],
+)
+def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    code = main([str(f) if a == "{f}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    data = json.loads(captured.out)
+    assert sorted(data) == ["error", "message"] and data["error"] == error
+
+
+_KEYS = ["elements", "leq", "poset", "covers", "n", "add", "mul", "a", "b"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.sampled_from(["a", "b", "0", "ab"]),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=6),
+    max_leaves=20,
+)
+_PRESENTATION = st.text(max_size=40) | st.builds(
+    "generators: a b\n".__add__, st.text(alphabet="ab01&|()=<,# \njoin", max_size=30))
+
+
+def _exit_code(argv):
+    """main(argv) with stdout and stderr captured; JSON is checked on exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            return exc.code
+    if code == 1:
+        assert sorted(json.loads(out.getvalue())) == ["error", "message"]
+    assert err.getvalue() == ""
+    return code
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(value=_JSON, text=_PRESENTATION, logic=st.sampled_from(["horn", "coherent", "geometric"]))
+def test_loaders_fuzzed_through_main(tmp_path_factory, value, text, logic):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "value.json").write_text(json.dumps(value))
+    (d / "pres.txt").write_text(text)
+    f, pres = str(d / "value.json"), str(d / "pres.txt")
+    for argv in (["ideal-frame", f], ["filters", "--site", f], ["zariski", "--ring", f],
+                 ["present", "--logic", logic, pres]):
+        assert _exit_code(argv) in (0, 1, 2), argv

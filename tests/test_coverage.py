@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonework.bits import mask_of, submasks
+from itertools import product
+
+from stonework.bits import bits, mask_of, submasks
 from stonework.corpus import all_grothendieck_topologies, posets_upto, random_site
 from stonework.coverage import (
     coverage_closure_matches_saturation,
     Coverage,
+    GrothendieckTopology,
+    all_sieves,
     comparison_iso,
     ideal_frame,
     induced_coverage,
@@ -131,6 +135,24 @@ class TestSaturate:
                     continue
                 assert cov.is_weakly_stable()
                 assert coverage_closure_matches_saturation(cov)
+
+
+class TestGrothendieckTopology:
+    def test_checked_constructor_accepts_exactly_the_corpus(self):
+        for p in posets_upto(3):
+            found = set(all_grothendieck_topologies(p))
+            optional = [[s for s in all_sieves(p, c) if s != p.dn[c]] for c in range(p.n)]
+            for picks in product(*[range(1 << len(o)) for o in optional]):
+                table = tuple(
+                    frozenset([p.dn[c]] + [optional[c][i] for i in bits(pick)])
+                    for c, pick in enumerate(picks)
+                )
+                try:
+                    GrothendieckTopology(p, table)
+                    accepted = True
+                except InvalidStructure:
+                    accepted = False
+                assert accepted == (table in found)
 
 
 class TestJClosure:

@@ -4,12 +4,13 @@ from operator import or_
 
 import pytest
 
-from stonework.bits import bits, popcount
-from stonework.corpus import posets_upto
+from stonework.bits import bits, mask_of, popcount
+from stonework.corpus import all_preorders, posets_upto
 from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import (
     MonotoneMap,
     Poset,
+    Preorder,
     as_poset,
     closed_family,
     identity_map,
@@ -106,11 +107,30 @@ class TestLowerUpperSets:
         for p in posets_upto(5):
             fr = lower_sets(p)
             assert fr.n == len(brute_down_sets(p))
+            assert all(fr.index[m] == i for i, m in enumerate(fr.element_masks))
             # FiniteFrame constructor already verified the lattice laws
 
     def test_upper_sets_is_lower_sets_of_op(self):
         for p in posets_upto(4):
             assert iso_search(upper_sets(p), lower_sets(p.op())) is not None
+
+
+class TestRestrict:
+    def test_matches_naive_restriction(self):
+        for n in range(5):
+            for q in all_preorders(n):
+                variants = [q, Preorder(n, q.up, labels=[f"x{i}" for i in range(n)])]
+                if poset_quotient(q)[0].n == n:
+                    variants.append(Poset(n, q.up, labels=[f"y{i}" for i in range(n)]))
+                for p in variants:
+                    for m in range(1 << n):
+                        elems = list(bits(m))[::-1]
+                        sub = p.restrict(elems)
+                        assert type(sub) is type(p)
+                        assert sub.up == tuple(
+                            mask_of(k for k, b in enumerate(elems) if p.leq(a, b)) for a in elems
+                        )
+                        assert sub.labels == tuple(p.label(e) for e in elems)
 
 
 class TestClosedFamily:

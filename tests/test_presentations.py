@@ -8,7 +8,7 @@ from stonework.bits import bits, mask_of, popcount
 from stonework.corpus import meet_semilattices_upto, posets_upto
 from stonework.coverage import ideal_frame, principal_j_ideal, saturate, trivial_coverage
 from stonework.errors import GuardExceeded, InvalidStructure, ParseError
-from stonework.order import as_poset, iso_search, lower_sets, preorder_from_pairs
+from stonework.order import as_poset, frame_hom_failure, iso_search, lower_sets, preorder_from_pairs
 from stonework.presentations import (
     enumerate_frame_homs,
     extend_filtering,
@@ -114,14 +114,14 @@ class TestEnumerateFrameHoms:
             for b in small:
                 brute = []
                 for f in product(range(b.n), repeat=a.n):
-                    if f[a.bot] != b.bot or f[a.top] != b.top:
-                        continue
-                    if all(
+                    hom = f[a.bot] == b.bot and f[a.top] == b.top and all(
                         f[a.meet[i][j]] == b.meet[f[i]][f[j]]
                         and f[a.join[i][j]] == b.join[f[i]][f[j]]
                         for i in range(a.n)
                         for j in range(a.n)
-                    ):
+                    )
+                    assert (frame_hom_failure(a, b, f) is None) == hom
+                    if hom:
                         brute.append(tuple(f))
                 assert enumerate_frame_homs(a, b) == sorted(brute)
 

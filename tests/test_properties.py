@@ -239,6 +239,9 @@ class TestCorpusCounts:
 
         for n, expect in enumerate([1, 1, 3, 9, 33]):
             assert len(all_preorders(n)) == expect
+            # topologies on a preorder match the unions of its equivalence classes
+            for q in all_preorders(n):
+                assert len(all_grothendieck_topologies(q)) == 2 ** poset_quotient(q)[0].n
 
 
 class TestAOnMapPrincipalRestriction:
