@@ -69,6 +69,7 @@ from .spectra import (
     subterminal_space,
 )
 from .zariski import (
+    ZariskiSite,
     op_ideal_lattice,
     ring_zmod,
     spectra_homeomorphism,
@@ -76,9 +77,16 @@ from .zariski import (
 )
 
 
+def _read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
 
 
 def _load_site(args):
@@ -188,9 +196,7 @@ def cmd_free(args):
 
 
 def cmd_present(args):
-    with open(args.file) as fh:
-        text = fh.read()
-    pres = parse_presentation(text, args.logic)
+    pres = parse_presentation(_read_text(args.file), args.logic)
     if args.semantic:
         lat = present_semantic(pres)
     elif pres.logic == "horn":
@@ -223,8 +229,9 @@ def cmd_zariski(args):
             return 0
         _emit(_envelope({"space": space_to_json(space), "lattice_size": lat.poset.n}))
         return 0
-    point_map, sp1, sp2 = spectra_homeomorphism(ring)
-    fr, D = zariski_lattice(ring)
+    site = ZariskiSite(ring)
+    point_map, sp1, sp2 = spectra_homeomorphism(ring, site=site)
+    fr, D = zariski_lattice(ring, site=site)
     if args.dot:
         sys.stdout.write(space_to_dot(sp2))
         return 0
@@ -443,8 +450,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.guard is not None:
-        config.set_frame_guard_override(args.guard)
+    config.set_frame_guard_override(args.guard)
     try:
         return args.fn(args)
     except StoneworkError as exc:
@@ -452,6 +458,9 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         sys.stdout.write(dumps({"error": "FileNotFound", "message": str(exc)}))
+        return 1
+    except OSError as exc:
+        sys.stdout.write(dumps({"error": "FileError", "message": str(exc)}))
         return 1
     except json.JSONDecodeError as exc:
         sys.stdout.write(

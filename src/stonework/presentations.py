@@ -558,20 +558,17 @@ def _eval_term_tables(t, gen_tables, nvals):
 
 
 def free_bounded_dlat(k):
-    """Monotone boolean functions on k inputs as truth-table masks."""
+    """Monotone boolean functions on k inputs as truth-table masks, ascending.
+
+    Built one variable at a time: a table on x_0..x_j is its half at
+    x_j = 0 below its half at x_j = 1, and it is monotone iff both halves
+    are and the lower half lies below the upper one.
+    """
+    tables = [0, 1]
+    for j in range(k):
+        half = 1 << j
+        tables = [f0 | (f1 << half) for f1 in tables for f0 in tables if f0 & ~f1 == 0]
     nvals = 1 << k
-    tables = []
-    for f in range(1 << nvals):
-        ok = True
-        for a in range(nvals):
-            for b in range(nvals):
-                if a & ~b == 0 and (f >> a) & 1 and not (f >> b) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            tables.append(f)
     gens = [mask_of(v for v in range(nvals) if (v >> i) & 1) for i in range(k)]
     return tables, gens, nvals
 
@@ -653,11 +650,17 @@ def present_coherent(pres, guard=None):
 
 def relation_models(pres):
     """All {0,1} assignments of the generators satisfying the relations,
-    by backtracking; models are generator bitmasks, ascending."""
+    by backtracking; models are generator bitmasks, ascending.
+
+    The node that has assigned generators 0..i-1 checks only the relations
+    whose highest generator is i-1 (at the root, those with none), since
+    an ancestor has already passed every other fully assigned relation on
+    the same values.
+    """
     k = len(pres.generators)
-    rels = []
+    buckets = [[] for _ in range(k + 1)]
     for op, t1, t2 in pres.relations:
-        rels.append((op, t1, t2, _term_support(t1) | _term_support(t2)))
+        buckets[(_term_support(t1) | _term_support(t2)).bit_length()].append((op, t1, t2))
     models = []
 
     def eval_t(t, m):
@@ -676,10 +679,7 @@ def relation_models(pres):
             return 1 if any(eval_t(s, m) for s in t[1]) else 0
 
     def rec(i, m):
-        assigned = (1 << i) - 1
-        for op, t1, t2, supp in rels:
-            if supp & ~assigned:
-                continue
+        for op, t1, t2 in buckets[i]:
             v1, v2 = eval_t(t1, m), eval_t(t2, m)
             if op == "<=" and v1 > v2:
                 return

@@ -11,6 +11,7 @@ which doubles as the independent oracle the generic saturation is
 compared against on small rings.
 """
 
+from functools import cached_property
 from operator import or_
 
 from .bits import bits, mask_of, submasks
@@ -457,7 +458,7 @@ def zariski_presentation(ring):
     return Presentation(gens, rels, "coherent")
 
 
-def zariski_lattice(ring, guard=None):
+def zariski_lattice(ring, guard=None, site=None):
     """The lattice L(A), built two independent ways and cross-checked.
 
     (1) as the distributive lattice presented by the D(a) relations
@@ -467,10 +468,11 @@ def zariski_lattice(ring, guard=None):
         own lattice of compact elements.
 
     Returns (frame, D) where D maps ring elements to frame elements of
-    construction (2); a mismatch between the two aborts.
+    construction (2); a mismatch between the two aborts.  A given site
+    brings its own S(A) and frame, built under the site's guard.
     """
-    _, pi, s = s_monoid(ring)
-    fr = zariski_ideal_frame(ring, s, guard=guard)
+    site = site if site is not None else ZariskiSite(ring, guard=guard)
+    pi, s, fr = site.pi, site.s, site.frame
     pres = zariski_presentation(ring)
     if ring.n <= config.FREE_DLAT_GUARD:
         lat = present_coherent(pres)
@@ -478,7 +480,7 @@ def zariski_lattice(ring, guard=None):
         lat = present_semantic(pres)
     if iso_search(lat.frame, fr) is None:
         raise CheckFailed("presented Zariski lattice differs from the ideal-frame construction")
-    D = [fr.index[zariski_closure(ring, s, s.poset.dn[pi[a]])] for a in range(ring.n)]
+    D = [fr.index[site.closure(s.poset.dn[pi[a]])] for a in range(ring.n)]
     return fr, D
 
 
@@ -496,9 +498,10 @@ def spec_space(ring):
     return space_from_subbasis(len(primes), subbasis, labels=labels), primes
 
 
-def zariski_point_space(ring, s=None):
+def zariski_point_space(ring, s=None, frame=None):
     """The subterminal space over (S(A), C): points are the C-prime
-    filters on S(A), opens are the F_I over C-ideals I."""
+    filters on S(A), opens are the F_I over C-ideals I in the frame
+    Id_C(S(A)), built here unless given."""
     if s is None:
         _, _, s = s_monoid(ring)
     po = s.poset
@@ -513,7 +516,7 @@ def zariski_point_space(ring, s=None):
     filters = sorted(set(filters))
     if len(filters) != len(ring_filters):
         raise CheckFailed("class map identified two distinct prime filters")
-    fr = zariski_ideal_frame(ring, s)
+    fr = frame if frame is not None else zariski_ideal_frame(ring, s)
     opens = set()
     for m in fr.element_masks:
         opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
@@ -542,11 +545,12 @@ def _check_c_prime(ring, s, F):
                     raise CheckFailed("filter misses a sum decomposition")
 
 
-def spectra_homeomorphism(ring):
+def spectra_homeomorphism(ring, site=None):
     """The explicit homeomorphism between the point space of (S(A), C)
     and Spec(A) with the Zariski topology, verified open-for-open."""
-    _, pi, s = s_monoid(ring)
-    space1, filters = zariski_point_space(ring, s)
+    site = site if site is not None else ZariskiSite(ring)
+    pi = site.pi
+    space1, filters = zariski_point_space(ring, site.s, site.frame)
     space2, primes = spec_space(ring)
     if space1.n != space2.n:
         raise CheckFailed(f"point counts differ: {space1.n} vs {space2.n}")
@@ -568,14 +572,20 @@ def spectra_homeomorphism(ring):
 
 class ZariskiSite:
     """Caches for repeated Zariski computations over one ring: the monoid
-    quotient, power chains, generated ideals, and C-ideal closures."""
+    quotient, the frame Id_C(S(A)) (built on first use, under the given
+    frame guard), power chains, generated ideals, and C-ideal closures."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, guard=None):
         self.ring = ring
         _, self.pi, self.s = s_monoid(ring)
+        self.guard = guard
         self._powers = {}
         self._ideals = {}
         self._closures = {}
+
+    @cached_property
+    def frame(self):
+        return zariski_ideal_frame(self.ring, self.s, guard=self.guard)
 
     def powers(self, a):
         if a not in self._powers:

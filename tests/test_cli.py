@@ -151,6 +151,13 @@ class TestCommands:
         data = json.loads(out)
         assert data["error"] == "InvalidStructure" and "STONEWORK_GUARD" in data["message"]
 
+    def test_guard_flag_does_not_leak(self, capsys):
+        code, out = run(capsys, "--guard", "3", "zariski", "--ring", "zmod:6")
+        assert code == 1 and json.loads(out)["error"] == "GuardExceeded"
+        code, out = run(capsys, "zariski", "--ring", "zmod:6")
+        assert code == 0
+        assert json.loads(out)["guards"]["frame_guard"] != 3
+
     def test_missing_file_exit_1(self, capsys):
         code, out = run(capsys, "ideal-frame", "no-such-file.json")
         assert code == 1
@@ -205,14 +212,22 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
         ({"poset": CHAIN2, "covers": [["a"]]}, ["filters", "--site", "{f}"], "ParseError"),
         ({"poset": CHAIN2, "covers": {"b": "ab"}}, ["filters", "--site", "{f}"], "ParseError"),
         (5, ["filters", "--site", "{f}"], "ParseError"),
+        (b"\xff\xfe", ["zariski", "--ring", "{f}"], "ParseError"),
+        (b"generators: a\n\xff <= a\n", ["present", "--logic", "coherent", "{f}"], "ParseError"),
+        (None, ["zariski", "--ring", "{d}"], "FileError"),
     ],
     ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
-         "ring-rows-short", "covers-list", "family-string", "site-number"],
+         "ring-rows-short", "covers-list", "family-string", "site-number",
+         "ring-not-utf8", "presentation-not-utf8", "ring-directory"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     f = tmp_path / "input.json"
-    f.write_text(json.dumps(content))
-    code = main([str(f) if a == "{f}" else a for a in argv])
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    else:
+        f.write_text(json.dumps(content))
+    paths = {"{f}": str(f), "{d}": str(tmp_path)}
+    code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     data = json.loads(captured.out)

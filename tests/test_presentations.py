@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stonework.bits import bits, mask_of, popcount
 from stonework.corpus import meet_semilattices_upto, posets_upto
@@ -10,9 +11,12 @@ from stonework.coverage import ideal_frame, principal_j_ideal, saturate, trivial
 from stonework.errors import GuardExceeded, InvalidStructure, ParseError
 from stonework.order import as_poset, frame_hom_failure, iso_search, lower_sets, preorder_from_pairs
 from stonework.presentations import (
+    Presentation,
+    _eval_model,
     enumerate_frame_homs,
     extend_filtering,
     extension_is_unique,
+    free_bounded_dlat,
     free_frame_on_cjsl,
     free_frame_on_jsl,
     free_frame_on_set,
@@ -344,8 +348,6 @@ class TestPresent:
         for q in ["a & b <= c", "c <= a", "a <= a | b", "a & c <= b | c"]:
             query = parse_query(q, pres)
             op, t1, t2 = query
-            from stonework.presentations import _eval_model
-
             semantic = all(
                 (not _eval_model(t1, m)) or _eval_model(t2, m) for m in models
             )
@@ -369,6 +371,69 @@ class TestPresent:
         pres = parse_presentation(text, "coherent")
         lat = present_coherent(pres)
         assert lat.frame.n == 2
+
+
+def _monotone_tables_brute_force(k):
+    """Every truth table on k inputs tested against every pair a <= b."""
+    nvals = 1 << k
+    tables = []
+    for f in range(1 << nvals):
+        ok = True
+        for a in range(nvals):
+            for b in range(nvals):
+                if a & ~b == 0 and (f >> a) & 1 and not (f >> b) & 1:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            tables.append(f)
+    return tables
+
+
+def test_free_bounded_dlat_against_brute_force():
+    for k in range(5):
+        tables, gens, nvals = free_bounded_dlat(k)
+        assert tables == _monotone_tables_brute_force(k)
+        assert nvals == 1 << k
+        assert gens == [mask_of(v for v in range(nvals) if (v >> i) & 1) for i in range(k)]
+    # Dedekind numbers
+    assert [len(free_bounded_dlat(k)[0]) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
+
+
+def _terms(k):
+    leaves = st.sampled_from([("zero",), ("one",)] + [("gen", i) for i in range(k)])
+    return st.recursive(
+        leaves,
+        lambda t: st.tuples(st.sampled_from(["meet", "join"]), t, t)
+        | st.lists(t, max_size=3).map(lambda ts: ("Join", tuple(ts))),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def _presentations(draw):
+    k = draw(st.integers(0, 7))
+    t = _terms(k)
+    rels = draw(st.lists(st.tuples(st.sampled_from(["<=", "="]), t, t), max_size=8))
+    return Presentation([f"g{i}" for i in range(k)], rels, "geometric")
+
+
+def _holds(rel, m):
+    op, t1, t2 = rel
+    v1, v2 = _eval_model(t1, m), _eval_model(t2, m)
+    return v1 <= v2 if op == "<=" else v1 == v2
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pres=_presentations())
+@example(pres=Presentation(["a"], [("<=", ("one",), ("zero",))], "geometric"))
+@example(pres=Presentation(["a", "b"], [("=", ("Join", ()), ("meet", ("gen", 1), ("gen", 0)))],
+                           "geometric"))
+def test_relation_models_match_brute_force(pres):
+    k = len(pres.generators)
+    want = [m for m in range(1 << k) if all(_holds(r, m) for r in pres.relations)]
+    assert relation_models(pres) == want
 
 
 class TestReflections:

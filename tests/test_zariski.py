@@ -265,8 +265,11 @@ class TestOpIdeals:
         assert sp.n == 0
 
     def test_lattice_cross_check(self):
-        for n in (1, 2, 3, 4, 6, 8):
+        for n in range(1, 41):
             op_ideal_lattice(ring_zmod(n))  # raises on mismatch
+            # the proper ideals of Z/n are the (d) for the divisors d > 1 of n
+            divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+            assert op_ideal_space(ring_zmod(n))[0].n == divisors - 1, n
 
 
 def test_ring_ideal_wrapper():
