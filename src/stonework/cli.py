@@ -28,7 +28,7 @@ from .coverage import (
     trivial_coverage,
 )
 from .duality import check_duality
-from .errors import ParseError, StoneworkError
+from .errors import FileError, ParseError, StoneworkError
 from .formats import (
     coverage_from_json,
     dumps,
@@ -78,11 +78,15 @@ from .zariski import (
 
 
 def _read_text(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise FileError(str(exc)) from None
 
 
 def _read_json(path):
@@ -458,9 +462,6 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         sys.stdout.write(dumps({"error": "FileNotFound", "message": str(exc)}))
-        return 1
-    except OSError as exc:
-        sys.stdout.write(dumps({"error": "FileError", "message": str(exc)}))
         return 1
     except json.JSONDecodeError as exc:
         sys.stdout.write(

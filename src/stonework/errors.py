@@ -31,3 +31,7 @@ class ParseError(StoneworkError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
+
+
+class FileError(StoneworkError):
+    """An input file exists but cannot be read (a directory, no permission)."""

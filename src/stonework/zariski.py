@@ -469,10 +469,12 @@ def zariski_lattice(ring, guard=None, site=None):
 
     Returns (frame, D) where D maps ring elements to frame elements of
     construction (2); a mismatch between the two aborts.  A given site
-    brings its own S(A) and frame, built under the site's guard.
+    brings its own S(A) and frame; a given guard rebuilds the frame
+    under that guard.
     """
-    site = site if site is not None else ZariskiSite(ring, guard=guard)
-    pi, s, fr = site.pi, site.s, site.frame
+    site = site if site is not None else ZariskiSite(ring)
+    pi, s = site.pi, site.s
+    fr = site.frame if guard is None else zariski_ideal_frame(ring, s, guard=guard)
     pres = zariski_presentation(ring)
     if ring.n <= config.FREE_DLAT_GUARD:
         lat = present_coherent(pres)
@@ -572,20 +574,19 @@ def spectra_homeomorphism(ring, site=None):
 
 class ZariskiSite:
     """Caches for repeated Zariski computations over one ring: the monoid
-    quotient, the frame Id_C(S(A)) (built on first use, under the given
-    frame guard), power chains, generated ideals, and C-ideal closures."""
+    quotient, the frame Id_C(S(A)) (built on first use), power chains,
+    generated ideals, and C-ideal closures."""
 
-    def __init__(self, ring, guard=None):
+    def __init__(self, ring):
         self.ring = ring
         _, self.pi, self.s = s_monoid(ring)
-        self.guard = guard
         self._powers = {}
         self._ideals = {}
         self._closures = {}
 
     @cached_property
     def frame(self):
-        return zariski_ideal_frame(self.ring, self.s, guard=self.guard)
+        return zariski_ideal_frame(self.ring, self.s)
 
     def powers(self, a):
         if a not in self._powers:

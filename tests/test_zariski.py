@@ -8,10 +8,11 @@ import pytest
 
 from stonework.bits import mask_of
 from stonework.coverage import j_closure, saturate
-from stonework.errors import InvalidStructure
+from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.spectra import j_prime_filters
 from stonework.zariski import (
     FiniteCommRing,
+    ZariskiSite,
     all_ideals,
     ideal_generated,
     power_combination_covers,
@@ -195,6 +196,14 @@ class TestLattice:
     def test_zmod1_degenerate(self):
         fr, D = zariski_lattice(ring_zmod(1))
         assert fr.n == 1
+
+    def test_guard_applies_with_a_site(self):
+        r = ring_zmod(6)
+        site = ZariskiSite(r)
+        with pytest.raises(GuardExceeded):
+            zariski_lattice(r, guard=3, site=site)
+        fr, _ = zariski_lattice(r, site=site)
+        assert fr is site.frame and fr.n == 4
 
     def test_both_constructions_small_corpus(self):
         for n in range(1, 16):
