@@ -133,7 +133,8 @@ def cmd_ideal_frame(args):
 
 def cmd_space(args):
     cov = _load_site(args)
-    J = saturate(cov)
+    fr = ideal_frame(cov)
+    filters = j_prime_filters(cov)
     if args.gamma:
         import os
 
@@ -143,13 +144,14 @@ def cmd_space(args):
                 raise ParseError("a --gamma file must hold a list of element indices")
         else:
             raw = args.gamma.split(",")
-        sp = gamma_subterminal_space(J, [_int(x, "a --gamma index") for x in raw])
+        sp = gamma_subterminal_space(cov, [_int(x, "a --gamma index") for x in raw],
+                                     frame=fr, filters=filters)
     else:
-        sp = subterminal_space(J)
+        sp = subterminal_space(cov, frame=fr, filters=filters)
     if args.dot:
         sys.stdout.write(space_to_dot(sp))
         return 0
-    flag, ideals, extents = enough_points(J)
+    flag, ideals, extents = enough_points(cov, frame=fr, filters=filters)
     _emit(_envelope({"space": space_to_json(sp),
                      "enough_points": flag,
                      "ideals": ideals,
@@ -159,9 +161,8 @@ def cmd_space(args):
 
 def cmd_filters(args):
     cov = _load_site(args)
-    J = saturate(cov)
-    p = J.base
-    filters = [[p.label(c) for c in bits(F)] for F in j_prime_filters(J)]
+    p = cov.base
+    filters = [[p.label(c) for c in bits(F)] for F in j_prime_filters(cov)]
     _emit(_envelope({"filters": filters}))
     return 0
 

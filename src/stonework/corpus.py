@@ -9,7 +9,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from .bits import bits, mask_of, popcount
-from .coverage import Coverage, all_sieves, saturate, topology_failure
+from .coverage import Coverage, all_sieves, j_d_sieves, saturate, topology_failure
+from .errors import CheckFailed
 from .order import Poset, Preorder, lower_sets, preorder_from_pairs
 
 
@@ -114,28 +115,25 @@ def _compositions(total, parts):
 
 
 def all_grothendieck_topologies(p):
-    """Every Grothendieck topology on a preorder (guarded: tiny p only).
+    """Every Grothendieck topology on a preorder, as a tuple over elements
+    of frozensets of sieves, in ascending order of their sorted sieves.
 
-    A topology is a tuple over elements of frozensets of sieves.
+    These are the J_D for the 2**(classes) unions of equivalence classes
+    D (see coverage.j_d_sieves); each table is still checked against the
+    axioms.
     """
     sieves = [all_sieves(p, c) for c in range(p.n)]
-    optional = [[s for s in sieves[c] if s != p.dn[c]] for c in range(p.n)]
+    classes = sorted({p.up[c] & p.dn[c] for c in range(p.n)})
     results = []
-
-    def build(c, acc):
-        if c == p.n:
-            J = tuple(frozenset(a) for a in acc)
-            if topology_failure(p, J, sieves) is None:
-                results.append(J)
-            return
-        opts = optional[c]
-        for pick in range(1 << len(opts)):
-            chosen = {p.dn[c]}
-            for i in bits(pick):
-                chosen.add(opts[i])
-            build(c + 1, acc + [chosen])
-
-    build(0, [])
+    for pick in range(1 << len(classes)):
+        dmask = 0
+        for i in bits(pick):
+            dmask |= classes[i]
+        J = j_d_sieves(p, dmask, sieves)
+        failure = topology_failure(p, J, sieves)
+        if failure is not None:
+            raise CheckFailed(f"J_D breaks {failure[0]} at {failure[1]}")
+        results.append(J)
     results.sort(key=lambda J: tuple(tuple(sorted(s)) for s in J))
     return results
 
@@ -149,19 +147,21 @@ def random_preorder(n, rng):
     return preorder_from_pairs(n, pairs)
 
 
-def random_site(max_n, rng):
-    """A random preorder with a random saturated topology on it."""
-    n = rng.randint(1, max_n)
-    p = random_preorder(n, rng)
+def random_coverage(p, rng):
+    """Up to two random families on each element, not saturated."""
     covers = []
-    for c in range(n):
+    for c in range(p.n):
         fams = []
         for _ in range(rng.randint(0, 2)):
-            sub = mask_of(i for i in bits(p.dn[c]) if rng.random() < 0.5)
-            fams.append(sub)
+            fams.append(mask_of(i for i in bits(p.dn[c]) if rng.random() < 0.5))
         covers.append(frozenset(fams))
-    cov = Coverage(p, covers)
-    return p, saturate(cov)
+    return Coverage(p, covers)
+
+
+def random_site(max_n, rng):
+    """A random preorder with a random saturated topology on it."""
+    p = random_preorder(rng.randint(1, max_n), rng)
+    return p, saturate(random_coverage(p, rng))
 
 
 def distributive_lattices_upto(size):

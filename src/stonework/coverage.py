@@ -107,7 +107,20 @@ class GrothendieckTopology:
 
 def all_sieves(p, c):
     """Down-closed subsets of (c)down, ascending."""
-    return [s for s in submasks(p.dn[c]) if p.is_down_closed(s)]
+    return p.down_sets(p.dn[c])
+
+
+def j_d_sieves(p, dmask, sieves):
+    """The sieve table of the topology J_D for a union D of classes:
+    S covers c iff every element of D below c lies in S.  `sieves[c]`
+    holds every sieve on c.
+
+    Every Grothendieck topology on a finite preorder is J_D for exactly
+    one such D (its sublocales are the subsets of a finite T_D space;
+    Picado-Pultr, Frames and Locales, ch. VI), and the J_D-prime filters
+    are the principal up-sets up[d], d in D.
+    """
+    return tuple(frozenset(s for s in sieves[c] if p.dn[c] & dmask & ~s == 0) for c in range(p.n))
 
 
 def topology_failure(p, sieves, all_sieves):
@@ -142,9 +155,10 @@ def trivial_coverage(p):
 def saturate(cov, guard=None):
     """Least Grothendieck topology containing the generated sieves.
 
-    Fixpoint of the maximality / stability / upward-closure / transitivity
-    rules over the full sieve table; exponential in the carrier, guarded.
-    The result is cached on the coverage.
+    That is J_D for the largest D that every generator covers: x is in D
+    unless some family on some c in up[x] misses up[x], i.e. its sieve
+    leaves out x.  Listing the sieves is exponential in the carrier, so
+    it is guarded.  The result is cached on the coverage.
     """
     if isinstance(cov, GrothendieckTopology):
         return cov
@@ -154,32 +168,12 @@ def saturate(cov, guard=None):
     bound = guard if guard is not None else config.SATURATION_GUARD
     if p.n > bound:
         raise GuardExceeded("saturation", p.n, bound)
-    all_s = [all_sieves(p, c) for c in range(p.n)]
-    J = [set() for _ in range(p.n)]
-    for c in range(p.n):
-        J[c].add(p.dn[c])
-        for fam in cov.covers[c]:
-            J[c].add(p.down_closure(fam))
-    changed = True
-    while changed:
-        changed = False
-        for c in range(p.n):
-            for s in list(J[c]):
-                for c2 in bits(p.dn[c]):
-                    r = s & p.dn[c2]
-                    if r not in J[c2]:
-                        J[c2].add(r)
-                        changed = True
-        for c in range(p.n):
-            for s in all_s[c]:
-                if s in J[c]:
-                    continue
-                for t in J[c]:
-                    if t & ~s == 0 or all((s & p.dn[c2]) in J[c2] for c2 in bits(t)):
-                        J[c].add(s)
-                        changed = True
-                        break
-    topo = GrothendieckTopology(p, J, _checked=True)
+    dmask = 0
+    for x in range(p.n):
+        if all(fam & p.up[x] for c in bits(p.up[x]) for fam in cov.covers[c]):
+            dmask |= 1 << x
+    sieves = [all_sieves(p, c) for c in range(p.n)]
+    topo = GrothendieckTopology(p, j_d_sieves(p, dmask, sieves), _checked=True)
     cov._saturation = topo
     return topo
 
@@ -488,8 +482,8 @@ def named_coverage(p, kind, param=None):
         covers = []
         for c in range(po.n):
             fams = set()
-            for m in submasks(po.dn[c]):
-                if m and po.is_down_closed(m) and po.lub(m) == c and _is_directed(po, m):
+            for m in all_sieves(po, c):
+                if m and po.lub(m) == c and _is_directed(po, m):
                     fams.add(m)
             covers.append(frozenset(fams))
         return Coverage(po, covers, trusted_stable=True)

@@ -8,6 +8,7 @@ being tested, so nothing is aliased to a single evaluator.
 from .bits import bits, mask_of, submasks
 from .errors import CheckFailed, InvalidStructure
 from .coverage import (
+    all_sieves,
     ideal_frame,
     named_coverage,
     saturate,
@@ -254,9 +255,7 @@ def j_closed_sieves(J, c):
     whose restriction covers."""
     p = J.base
     out = []
-    for s in submasks(p.dn[c]):
-        if not p.is_down_closed(s):
-            continue
+    for s in all_sieves(p, c):
         closed = True
         for d in bits(p.dn[c]):
             if (s >> d) & 1:

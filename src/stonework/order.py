@@ -75,24 +75,36 @@ class Preorder:
                 return False
         return True
 
-    def is_up_closed(self, mask):
-        for i in bits(mask):
-            if self.up[i] & ~mask:
-                return False
-        return True
-
     def down_closure(self, mask):
         m = 0
         for i in bits(mask):
             m |= self.dn[i]
         return m
 
-    def down_sets(self):
-        """All down-closed subsets, ascending as bitmasks."""
-        return [m for m in range(1 << self.n) if self.is_down_closed(m)]
+    def down_sets(self, within=None):
+        """All down-closed subsets of the order induced on `within` (default:
+        every element), ascending as bitmasks.
+
+        Output-sensitive: the least undecided element x is either left out,
+        and with it everything above x, or put in with everything below x.
+        Each branch ends in a distinct down-set.
+        """
+        up, dn = self.up, self.dn
+        out = []
+        stack = [((1 << self.n) - 1 if within is None else within, 0)]
+        while stack:
+            rest, acc = stack.pop()
+            if not rest:
+                out.append(acc)
+                continue
+            x = (rest & -rest).bit_length() - 1
+            stack.append((rest & ~up[x], acc))
+            stack.append((rest & ~dn[x], acc | (rest & dn[x])))
+        out.sort()
+        return out
 
     def up_sets(self):
-        return [m for m in range(1 << self.n) if self.is_up_closed(m)]
+        return self.op().down_sets()
 
     def lub(self, mask):
         """Least upper bound of a subset, or None if there is none."""

@@ -114,12 +114,13 @@ def j_prime_filters(C_or_J, J=None):
 
     Accepts (preorder, coverage-or-topology) or just the site object.
     For a coverage the prime condition over its generating families
-    agrees with the condition over the saturation.
+    agrees with the condition over the saturation, so a coverage is
+    never saturated here.  A finite, nonempty, down-directed up-set is
+    principal, so only the up-sets up[c] are candidates.
     """
     if J is None:
         J = C_or_J
-    p = J.base
-    return [m for m in range(1 << p.n) if is_j_prime_filter(J, m)]
+    return sorted(m for m in set(J.base.up) if is_j_prime_filter(J, m))
 
 
 def completely_prime_filters(fr):
@@ -195,14 +196,16 @@ def filter_bijection(J, guard=None):
 # subterminal spaces
 
 
-def subterminal_space(J, guard=None):
+def subterminal_space(J, guard=None, frame=None, filters=None):
     """Points are the J-prime filters; opens are F_I for J-ideals I.
 
     The sub-basis {F_c : c in C} is verified to generate the topology.
+    `frame` and `filters`, when given, are ideal_frame(J) and
+    j_prime_filters(J), already built by the caller.
     """
     p = J.base
-    filters = j_prime_filters(J)
-    fr = ideal_frame(J, guard=guard)
+    filters = j_prime_filters(J) if filters is None else filters
+    fr = ideal_frame(J, guard=guard) if frame is None else frame
     n = len(filters)
     opens = set()
     for m in fr.element_masks:
@@ -216,16 +219,16 @@ def subterminal_space(J, guard=None):
     return space
 
 
-def gamma_subterminal_space(J, gamma_indices, guard=None):
+def gamma_subterminal_space(J, gamma_indices, guard=None, frame=None, filters=None):
     """Subterminal topology restricted to a subframe of Id_J(C).
 
     gamma_indices picks elements of ideal_frame(J); they must include the
     bounds and be closed under binary meet and join.  The points are all
-    the J-prime filters.
+    the J-prime filters.  `frame` and `filters` are as in
+    subterminal_space.
     """
-    J = saturate(J)
     p = J.base
-    fr = ideal_frame(J, guard=guard)
+    fr = ideal_frame(J, guard=guard) if frame is None else frame
     gset = sorted(set(gamma_indices))
     for g in gset:
         if not 0 <= g < fr.n:
@@ -236,7 +239,7 @@ def gamma_subterminal_space(J, gamma_indices, guard=None):
         for b in gset:
             if fr.meet[a][b] not in gset or fr.join[a][b] not in gset:
                 raise InvalidStructure("subframe must be closed under meet and join")
-    filters = j_prime_filters(J)
+    filters = j_prime_filters(J) if filters is None else filters
     opens = set()
     for g in gset:
         m = fr.element_masks[g]
@@ -244,16 +247,17 @@ def gamma_subterminal_space(J, gamma_indices, guard=None):
     return TopSpace(len(filters), opens, labels=[set_label(p.label, F) for F in filters])
 
 
-def enough_points(J, guard=None):
+def enough_points(J, guard=None, frame=None, filters=None):
     """Whether the J-prime filters separate the J-ideals.
 
     Finitely this can fail for exotic topologies; when it does, the
     open-set frame of the subterminal space is a proper quotient of
     Id_J(C) and we report the failure instead of assuming spatiality.
-    Returns (flag, ideal_count, distinct_extents).
+    Returns (flag, ideal_count, distinct_extents).  `frame` and
+    `filters` are as in subterminal_space.
     """
-    fr = ideal_frame(J, guard=guard)
-    filters = j_prime_filters(J)
+    fr = ideal_frame(J, guard=guard) if frame is None else frame
+    filters = j_prime_filters(J) if filters is None else filters
     extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in fr.element_masks}
     return len(extents) == fr.n, fr.n, len(extents)
 

@@ -34,6 +34,14 @@ def chain2_file(tmp_path):
 
 
 @pytest.fixture
+def chain17_file(tmp_path):
+    f = tmp_path / "chain17.json"
+    f.write_text(json.dumps({"elements": [f"c{i}" for i in range(17)],
+                             "leq": [[i, i + 1] for i in range(16)]}))
+    return str(f)
+
+
+@pytest.fixture
 def boolean4_file(tmp_path):
     f = tmp_path / "b4.json"
     f.write_text(
@@ -135,14 +143,38 @@ class TestCommands:
         assert code == 1
         assert json.loads(out)["error"] == "InvalidStructure"
 
-    def test_ideal_frame_chain17_skips_saturation(self, capsys, tmp_path):
+    def test_ideal_frame_chain17_skips_saturation(self, capsys, chain17_file):
         # named coverages never need saturation, so its 16-element guard does not apply
-        f = tmp_path / "chain17.json"
-        f.write_text(json.dumps({"elements": [f"c{i}" for i in range(17)],
-                                 "leq": [[i, i + 1] for i in range(16)]}))
-        code, out = run(capsys, "ideal-frame", str(f))
+        code, out = run(capsys, "ideal-frame", chain17_file)
         assert code == 0
         assert len(json.loads(out)["result"]["frame"]["elements"]) == 18
+
+    def test_filters_and_space_chain17_skip_saturation(self, capsys, chain17_file):
+        code, out = run(capsys, "filters", "--site", chain17_file)
+        assert code == 0
+        assert len(json.loads(out)["result"]["filters"]) == 17
+        code, out = run(capsys, "space", "--site", chain17_file)
+        assert code == 0
+        assert len(json.loads(out)["result"]["space"]["points"]) == 17
+
+    def test_space_builds_frame_and_filters_once(self, capsys, boolean4_file, monkeypatch):
+        import stonework.cli
+        import stonework.spectra
+
+        calls = {"ideal_frame": 0, "j_prime_filters": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (stonework.cli, stonework.spectra):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, out = run(capsys, "space", "--site", boolean4_file, "--coverage", "coherent")
+        assert code == 0
+        assert calls == {"ideal_frame": 1, "j_prime_filters": 1}
 
     def test_bad_guard_env_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("STONEWORK_GUARD", "abc")

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from itertools import product
 
 from stonework.bits import bits, mask_of, submasks
-from stonework.corpus import all_grothendieck_topologies, posets_upto, random_site
+from stonework.corpus import (
+    all_grothendieck_topologies,
+    all_preorders,
+    posets_upto,
+    random_coverage,
+    random_preorder,
+    random_site,
+)
 from stonework.coverage import (
     coverage_closure_matches_saturation,
     Coverage,
@@ -28,6 +35,8 @@ from stonework.coverage import (
 )
 from stonework.errors import InvalidStructure
 from stonework.order import as_poset, iso_search, lower_sets, preorder_from_pairs
+
+from oracles import brute_all_sieves, brute_topologies, fixpoint_saturation
 
 
 def boolean4():
@@ -98,7 +107,7 @@ class TestSaturate:
                     continue
                 po = cov.base
                 sat = saturate(cov)
-                topologies = all_grothendieck_topologies(po)
+                topologies = brute_topologies(po)
                 containing = [
                     J
                     for J in topologies
@@ -113,6 +122,21 @@ class TestSaturate:
                     for c in range(po.n)
                 )
                 assert tuple(sat.sieves) == least
+
+    def test_matches_fixpoint_oracle(self):
+        import random
+
+        for n in range(5):
+            for q in all_preorders(n):
+                for seed in range(20):
+                    cov = random_coverage(q, random.Random(seed))
+                    assert saturate(cov).sieves == fixpoint_saturation(cov)
+        for seed in range(200):
+            rng = random.Random(seed)
+            p = random_preorder(rng.randint(1, 7), rng)
+            cov = random_coverage(p, rng)
+            q, J = random_site(7, random.Random(seed))
+            assert q == p and J.sieves == fixpoint_saturation(cov)
 
     def test_unstable_generators_diverge_from_raw_closure(self):
         # {a} covering the top of boolean4 is not weakly stable; the
@@ -138,6 +162,12 @@ class TestSaturate:
 
 
 class TestGrothendieckTopology:
+    def test_corpus_matches_generate_and_test(self):
+        for n in range(5):
+            for q in all_preorders(n):
+                assert [all_sieves(q, c) for c in range(n)] == [brute_all_sieves(q, c) for c in range(n)]
+                assert all_grothendieck_topologies(q) == brute_topologies(q)
+
     def test_checked_constructor_accepts_exactly_the_corpus(self):
         for p in posets_upto(3):
             found = set(all_grothendieck_topologies(p))

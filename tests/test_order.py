@@ -24,14 +24,9 @@ from stonework.order import (
     validate_preorder,
 )
 
+from oracles import brute_down_sets, brute_up_sets
 
-def brute_down_sets(p):
-    """Oracle: filter every subset for down-closure."""
-    out = []
-    for m in range(1 << p.n):
-        if all(p.dn[i] & ~m == 0 for i in bits(m)):
-            out.append(m)
-    return out
+
 
 
 class TestValidatePreorder:
@@ -109,6 +104,22 @@ class TestLowerUpperSets:
             assert fr.n == len(brute_down_sets(p))
             assert all(fr.index[m] == i for i, m in enumerate(fr.element_masks))
             # FiniteFrame constructor already verified the lattice laws
+
+    def test_down_and_up_sets_match_submask_scan(self):
+        import random
+
+        from stonework.corpus import random_preorder
+
+        rng = random.Random(7)
+        preorders = [q for n in range(5) for q in all_preorders(n)]
+        preorders += [random_preorder(rng.randint(5, 7), rng) for _ in range(20)]
+        for p in preorders:
+            assert p.down_sets() == brute_down_sets(p)
+            assert p.up_sets() == brute_up_sets(p)
+            # every subset on the small carriers, the sieve carriers on the rest
+            withins = range(1 << p.n) if p.n <= 4 else p.dn
+            for within in withins:
+                assert p.down_sets(within) == brute_down_sets(p, within)
 
     def test_upper_sets_is_lower_sets_of_op(self):
         for p in posets_upto(4):

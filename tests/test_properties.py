@@ -34,6 +34,8 @@ from stonework.presentations import (
 )
 from stonework.spectra import alexandrov_space, enough_points, filter_bijection
 
+from oracles import brute_topologies
+
 
 def random_poset(n, rng):
     p, _ = poset_quotient(random_preorder(n, rng))
@@ -139,6 +141,14 @@ class TestFilterBijectionExhaustive5:
                 count += 1
         assert count > 1000
 
+    def test_every_site_on_six_elements(self):
+        count = 0
+        for p in all_posets(6):
+            for s in all_grothendieck_topologies(p):
+                filter_bijection(GrothendieckTopology(p, s, _checked=True))
+                count += 1
+        assert count == 318 * 64
+
 
 class TestEnoughPoints:
     def test_boolean_coherent_has_enough(self):
@@ -211,7 +221,7 @@ class TestSaturationLeastAt4:
                     continue
                 po = cov.base
                 sat = saturate(cov)
-                topologies = all_grothendieck_topologies(po)
+                topologies = brute_topologies(po)
                 containing = [
                     J
                     for J in topologies

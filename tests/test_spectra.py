@@ -24,6 +24,8 @@ from stonework.spectra import (
     subterminal_space,
 )
 
+from oracles import brute_j_prime_filters
+
 
 def boolean4():
     return as_poset(preorder_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
@@ -47,22 +49,41 @@ class TestJPrimeFilters:
         assert j_prime_filters(J) == [0b1]
 
     def test_coverage_and_saturation_agree(self):
+        # both against the 2**n scan, on random coverages of every
+        # preorder up to 4 elements and on random sites up to 7
         import random
 
-        for seed in range(20):
-            rng = random.Random(seed)
-            from stonework.corpus import random_preorder
-            from stonework.coverage import Coverage
+        from stonework.corpus import all_preorders, random_coverage, random_preorder
 
-            p = random_preorder(4, rng)
-            covers = []
-            for c in range(p.n):
-                fams = set()
-                for _ in range(rng.randint(0, 2)):
-                    fams.add(mask_of(i for i in bits(p.dn[c]) if rng.random() < 0.5))
-                covers.append(frozenset(fams))
-            cov = Coverage(p, covers)
-            assert j_prime_filters(cov) == j_prime_filters(saturate(cov))
+        for n in range(5):
+            for q in all_preorders(n):
+                for seed in range(20):
+                    cov = random_coverage(q, random.Random(seed))
+                    expected = brute_j_prime_filters(cov)
+                    assert j_prime_filters(cov) == expected
+                    assert j_prime_filters(saturate(cov)) == expected
+                    assert brute_j_prime_filters(saturate(cov)) == expected
+        for seed in range(100):
+            rng = random.Random(seed)
+            p = random_preorder(rng.randint(1, 7), rng)
+            cov = random_coverage(p, rng)
+            _, J = random_site(7, random.Random(seed))
+            assert j_prime_filters(cov) == j_prime_filters(J) == brute_j_prime_filters(J)
+
+    def test_filters_of_j_d_are_up_sets_of_d(self):
+        from stonework.corpus import all_preorders
+        from stonework.coverage import GrothendieckTopology, all_sieves, j_d_sieves
+
+        for n in range(5):
+            for p in all_preorders(n):
+                sieves = [all_sieves(p, c) for c in range(n)]
+                for dmask in range(1 << n):
+                    if any(p.up[d] & p.dn[d] & ~dmask for d in bits(dmask)):
+                        continue  # not a union of classes
+                    J = GrothendieckTopology(p, j_d_sieves(p, dmask, sieves))
+                    expected = sorted({p.up[d] for d in bits(dmask)})
+                    assert j_prime_filters(J) == expected
+                    assert brute_j_prime_filters(J) == expected
 
 
 class TestCompletelyPrime:
