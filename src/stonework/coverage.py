@@ -4,10 +4,15 @@ A coverage is stored by generating families; its saturation (the least
 Grothendieck topology whose covering sieves include the generated
 sieves) is a separate first-class object.  Sieves on an element c are
 down-closed subsets of (c)down, held as bitmasks.
+
+Every topology on a finite preorder is J_D for one union D of classes
+(see j_d_sieves), and a coverage or a topology carries that D as
+`dmask`.  The J-closure, the frame Id_J(C) and the J-prime filters are
+all read off D, so only callers that read sieve tables saturate.
 """
 
+from functools import cached_property
 from itertools import combinations
-from operator import or_
 
 from .bits import bits, mask_of, popcount, submasks
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
@@ -15,26 +20,32 @@ from . import config
 from .order import (
     FiniteFrame,
     as_poset,
-    closed_family,
     frame_hom_failure,
     frame_of_down_sets,
 )
+
+
+def d_of(p, covers):
+    """The D of the topology J_D generated by a table of families, raw
+    or sieves: x is in D unless some family on some c in up[x] misses
+    up[x], i.e. its sieve leaves out x."""
+    return mask_of(x for x in range(p.n)
+                   if all(fam & p.up[x] for c in bits(p.up[x]) for fam in covers[c]))
 
 
 class Coverage:
     """Generating covering families on each element of a preorder.
 
     Stability is an invariant of the saturated form, never of the
-    generators: the saturation rules restrict every covering sieve to
-    every smaller element, so any generator set yields a legal topology.
+    generators: any generator set yields a legal topology, J_D for the
+    D in `dmask`.  Closures, frames and filters are built from `dmask`;
+    the sieve tables (`saturate`) are needed only where sieve tables are
+    read.
     """
 
-    def __init__(self, base, covers, trusted_stable=False):
+    def __init__(self, base, covers):
         self.base = base
         self.covers = tuple(frozenset(fams) for fams in covers)
-        # set by constructors whose kinds are weakly stable by a theorem;
-        # lets closures use the raw generators without saturating
-        self.trusted_stable = trusted_stable
         self._saturation = None
         if len(self.covers) != base.n:
             raise InvalidStructure("covers must assign a family set to every element")
@@ -43,26 +54,9 @@ class Coverage:
                 if fam & ~base.dn[c]:
                     raise InvalidStructure(f"a family on {c} leaves (c)down")
 
-    def is_weakly_stable(self):
-        """Whether every generator, restricted to a smaller element, can be
-        refined by a generator there.  When true, closing under the raw
-        generators computes the same ideals as closing under the
-        saturation; generic code does not rely on it and saturates."""
-        p = self.base
-        for c in range(p.n):
-            for fam in self.covers[c]:
-                sieve = p.down_closure(fam)
-                for c2 in bits(p.dn[c]):
-                    ok = False
-                    for fam2 in self.covers[c2]:
-                        if fam2 & ~(sieve & p.dn[c2]) == 0:
-                            ok = True
-                            break
-                    if not ok and not any(
-                        p.down_closure(fam2) & ~(sieve & p.dn[c2]) == 0 for fam2 in self.covers[c2]
-                    ):
-                        return False
-        return True
+    @cached_property
+    def dmask(self):
+        return d_of(self.base, self.covers)
 
     def key(self):
         return (self.base.key(), self.covers)
@@ -91,6 +85,10 @@ class GrothendieckTopology:
         if failure is not None:
             axiom, c = failure
             raise InvalidStructure(f"{axiom} fails at {c}")
+
+    @cached_property
+    def dmask(self):
+        return d_of(self.base, self.sieves)
 
     def covers(self, c, sieve):
         return sieve in self.sieves[c]
@@ -149,16 +147,17 @@ def topology_failure(p, sieves, all_sieves):
 
 
 def trivial_coverage(p):
-    return Coverage(p, [frozenset([p.dn[c]]) for c in range(p.n)], trusted_stable=True)
+    return Coverage(p, [frozenset([p.dn[c]]) for c in range(p.n)])
 
 
 def saturate(cov, guard=None):
-    """Least Grothendieck topology containing the generated sieves.
+    """Least Grothendieck topology containing the generated sieves: J_D
+    for D = cov.dmask.
 
-    That is J_D for the largest D that every generator covers: x is in D
-    unless some family on some c in up[x] misses up[x], i.e. its sieve
-    leaves out x.  Listing the sieves is exponential in the carrier, so
-    it is guarded.  The result is cached on the coverage.
+    Closures, ideal frames and filters are read off D, so this is needed
+    only where sieve tables are read.  Listing the sieves is exponential
+    in the carrier, so it is guarded.  The result is cached on the
+    coverage.
     """
     if isinstance(cov, GrothendieckTopology):
         return cov
@@ -168,111 +167,49 @@ def saturate(cov, guard=None):
     bound = guard if guard is not None else config.SATURATION_GUARD
     if p.n > bound:
         raise GuardExceeded("saturation", p.n, bound)
-    dmask = 0
-    for x in range(p.n):
-        if all(fam & p.up[x] for c in bits(p.up[x]) for fam in cov.covers[c]):
-            dmask |= 1 << x
     sieves = [all_sieves(p, c) for c in range(p.n)]
-    topo = GrothendieckTopology(p, j_d_sieves(p, dmask, sieves), _checked=True)
-    cov._saturation = topo
-    return topo
+    cov._saturation = GrothendieckTopology(p, j_d_sieves(p, cov.dmask, sieves), _checked=True)
+    return cov._saturation
 
 
 def j_closure(J, mask):
-    """Least J-ideal containing a set (J saturated)."""
-    p = J.base
-    out = p.down_closure(mask)
-    changed = True
-    while changed:
-        changed = False
-        for d in range(p.n):
-            if (out >> d) & 1:
-                continue
-            for s in J.sieves[d]:
-                if s & ~out == 0:
-                    out |= p.dn[d]
-                    changed = True
-                    break
-    return out
+    """Least J-ideal containing a set, for a coverage or a topology J_D.
+
+    One pass, no fixpoint: c is in the closure of U exactly when every
+    element of D below c lies in down(U).  The closure meets D in
+    down(U) & D, so each J-ideal is fixed by its D-part.
+    """
+    p, dmask = J.base, J.dmask
+    inside = p.down_closure(mask) & dmask
+    return mask_of(c for c in range(p.n) if p.dn[c] & dmask & ~inside == 0)
+
+
+# bench/tracer.py traces the closure under this older name as well
+coverage_closure = j_closure
 
 
 def is_j_ideal(J, mask):
-    p = J.base
-    if not p.is_down_closed(mask):
-        return False
-    for d in range(p.n):
-        if (mask >> d) & 1:
-            continue
-        for s in J.sieves[d]:
-            if s & ~mask == 0:
-                return False
-    return True
-
-
-def coverage_closure(cov, mask):
-    """Least J-ideal containing a set, directly from generating families.
-
-    Agrees with j_closure on the saturation: an ideal is closed for a
-    coverage exactly when it is closed for the topology it generates.
-    """
-    p = cov.base
-    out = p.down_closure(mask)
-    changed = True
-    while changed:
-        changed = False
-        for d in range(p.n):
-            if (out >> d) & 1:
-                continue
-            for fam in cov.covers[d]:
-                if fam & ~out == 0:
-                    out |= p.dn[d]
-                    changed = True
-                    break
-    return out
-
-
-def closure_fn(J):
-    """The J-closure as a function of masks.
-
-    A weakly stable coverage closes ideals correctly from its raw
-    generators (they refine their own restrictions), so trusted
-    coverages skip the exponential saturation.
-    """
-    if isinstance(J, Coverage):
-        if J.trusted_stable:
-            return lambda m: coverage_closure(J, m)
-        J = saturate(J)
-    return lambda m: j_closure(J, m)
+    return j_closure(J, mask) == mask
 
 
 def principal_j_ideal(J, c):
     """The smallest J-ideal containing c."""
-    return closure_fn(J)(J.base.dn[c])
-
-
-def coverage_closure_matches_saturation(cov):
-    """Oracle used in tests: the raw-generator closure agrees with the
-    saturated closure exactly on weakly stable coverages."""
-    J = saturate(cov)
-    p = cov.base
-    return all(coverage_closure(cov, m) == j_closure(J, m) for m in p.down_sets())
+    return j_closure(J, J.base.dn[c])
 
 
 def ideal_frame(J, guard=None):
-    """The frame Id_J(C) of all J-ideals under inclusion.
+    """The frame Id_J(C) of all J-ideals under inclusion, for a coverage
+    or a topology J_D.
 
-    Every J-ideal is the join of the principal ideals of its members, so
-    the carrier is generated from the bottom and the principal ideals by
-    closing under join with a principal ideal (closure of union).
+    A J-ideal is the closure of its D-part, and every down-set of D is
+    one, so the carrier is the closures of the down-sets of D.  The join
+    of two ideals is the ideal over the union of their D-parts.
     """
-    if isinstance(J, Coverage) and not J.trusted_stable:
-        J = saturate(J)
-    p = J.base
-    cl = closure_fn(J)
-    principals = [cl(p.dn[c]) for c in range(p.n)]
-    elems = closed_family([cl(0)] + principals, principals, or_, close=cl,
-                          bound=config.frame_guard(guard), what="ideal frame")
-    return frame_of_down_sets(sorted(elems), p, join_closure=cl, guard=guard)
+    p, dmask = J.base, J.dmask
+    downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
+    ideal_of = {m: j_closure(J, m) for m in downs}
+    return frame_of_down_sets(ideal_of.values(), p, join_closure=lambda m: ideal_of[m & dmask],
+                              guard=guard)
 
 
 def is_subcanonical(J):
@@ -436,7 +373,7 @@ def named_coverage(p, kind, param=None):
     if kind in ("coherent", "canonical"):
         if not is_distributive_lattice(po):
             raise InvalidStructure(f"{kind} coverage needs a bounded distributive lattice")
-        return Coverage(po, _pairwise_join_covers(po), trusted_stable=True)
+        return Coverage(po, _pairwise_join_covers(po))
 
     if kind == "k":
         k = int(param)
@@ -453,7 +390,7 @@ def named_coverage(p, kind, param=None):
                     if po.lub(m) == c:
                         fams.add(m)
             covers.append(frozenset(fams))
-        return Coverage(po, covers, trusted_stable=True)
+        return Coverage(po, covers)
 
     if kind == "disjunctive":
         bot, meet = _check_djlat(po)
@@ -466,15 +403,15 @@ def named_coverage(p, kind, param=None):
                 c = po.lub((1 << a) | (1 << b))
                 if c is not None:
                     covers[c].add((1 << a) | (1 << b))
-        return Coverage(po, [frozenset(f) for f in covers], trusted_stable=True)
+        return Coverage(po, [frozenset(f) for f in covers])
 
     if kind == "atomic":
         covers = _generated_by(po, _poset_atoms(po), "a weakly atomic meet-semilattice")
-        return Coverage(po, covers, trusted_stable=True)
+        return Coverage(po, covers)
 
     if kind == "supercompact":
         covers = _generated_by(po, _poset_supercompacts(po), "a weakly supercompact meet-semilattice")
-        return Coverage(po, covers, trusted_stable=True)
+        return Coverage(po, covers)
 
     if kind == "directed":
         if not _is_meet_semilattice_poset(po):
@@ -486,7 +423,7 @@ def named_coverage(p, kind, param=None):
                 if m and po.lub(m) == c and _is_directed(po, m):
                     fams.add(m)
             covers.append(frozenset(fams))
-        return Coverage(po, covers, trusted_stable=True)
+        return Coverage(po, covers)
 
     raise InvalidStructure(f"unknown coverage kind {kind!r}")
 
@@ -552,9 +489,7 @@ def induced_coverage(J, dmask):
         for t in J.sieves[a]:
             fams.add(mask_of(pos[b] for b in bits(t & dmask)))
         covers.append(frozenset(fams))
-    # restrictions of covering sieves restrict again, so the induced
-    # coverage is weakly stable
-    cov = Coverage(sub, covers, trusted_stable=True)
+    cov = Coverage(sub, covers)
     return sub, cov, delems
 
 

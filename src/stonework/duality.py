@@ -92,7 +92,6 @@ def a_on_map(f, J, K, guard=None):
     ok, witness = is_cover_preserving(f, J, K)
     if not ok:
         raise InvalidStructure(f"map does not preserve covers at {witness}")
-    J, K = saturate(J), saturate(K)
     src = ideal_frame(J, guard=guard)
     dst = ideal_frame(K, guard=guard)
     assign = []
@@ -104,8 +103,8 @@ def a_on_map(f, J, K, guard=None):
 
 def b_on_map(f, guard=None):
     """The frame hom Id(cod) -> Id(dom) taking preimages of ideals."""
-    src = ideal_frame(saturate(trivial_coverage(f.cod)), guard=guard)
-    dst = ideal_frame(saturate(trivial_coverage(f.dom)), guard=guard)
+    src = ideal_frame(trivial_coverage(f.cod), guard=guard)
+    dst = ideal_frame(trivial_coverage(f.dom), guard=guard)
     assign = [dst.index[f.preimage_mask(m)] for m in src.element_masks]
     return FrameHom(src, dst, assign)
 

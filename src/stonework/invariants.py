@@ -184,7 +184,7 @@ def extremally_disconnected_conditions(d, guard=None):
 def mslat_ideal_frame_demorgan(m, guard=None):
     """The ideal frame of a meet-semilattice is always extremally
     disconnected; the condition is evaluated, and asserted true."""
-    fr = ideal_frame(saturate(trivial_coverage(as_poset(m))), guard=guard)
+    fr = ideal_frame(trivial_coverage(as_poset(m)), guard=guard)
     h = heyting(fr)
     value = all(fr.join[h.neg[i]][h.neg[h.neg[i]]] == fr.top for i in range(fr.n))
     if not value:
@@ -223,7 +223,7 @@ def two_valued_conditions(x, kind, guard=None):
     elif kind == "mslat":
         m = as_poset(x)
         structure = m.n == 1
-        frame = ideal_frame(saturate(trivial_coverage(m)), guard=guard)
+        frame = ideal_frame(trivial_coverage(m), guard=guard)
     elif kind == "preorder":
         structure = x.n >= 1 and all(
             x.leq(a, b) and x.leq(b, a) for a in range(x.n) for b in range(x.n)

@@ -81,13 +81,15 @@ class Preorder:
             m |= self.dn[i]
         return m
 
-    def down_sets(self, within=None):
+    def down_sets(self, within=None, bound=None, what=None):
         """All down-closed subsets of the order induced on `within` (default:
         every element), ascending as bitmasks.
 
         Output-sensitive: the least undecided element x is either left out,
         and with it everything above x, or put in with everything below x.
-        Each branch ends in a distinct down-set.
+        Each branch ends in a distinct down-set.  Raises
+        GuardExceeded(what, bound + 1, bound) as soon as the list grows
+        past `bound`.
         """
         up, dn = self.up, self.dn
         out = []
@@ -96,6 +98,8 @@ class Preorder:
             rest, acc = stack.pop()
             if not rest:
                 out.append(acc)
+                if bound is not None and len(out) > bound:
+                    raise GuardExceeded(what, len(out), bound)
                 continue
             x = (rest & -rest).bit_length() - 1
             stack.append((rest & ~up[x], acc))
@@ -103,8 +107,8 @@ class Preorder:
         out.sort()
         return out
 
-    def up_sets(self):
-        return self.op().down_sets()
+    def up_sets(self, bound=None, what=None):
+        return self.op().down_sets(bound=bound, what=what)
 
     def lub(self, mask):
         """Least upper bound of a subset, or None if there is none."""
@@ -455,18 +459,14 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=No
 
 def lower_sets(p, guard=None):
     """The frame of all down-closed subsets of a preorder."""
-    bound = config.frame_guard(guard)
-    if p.n > 30 or 2 ** p.n > bound * 8:
-        raise GuardExceeded("lower-set frame", 2 ** p.n, bound)
-    return frame_of_down_sets(p.down_sets(), p, guard=guard)
+    downs = p.down_sets(bound=config.frame_guard(guard), what="lower-set frame")
+    return frame_of_down_sets(downs, p, guard=guard)
 
 
 def upper_sets(p, guard=None):
     """The frame of all up-closed subsets of a preorder."""
-    bound = config.frame_guard(guard)
-    if p.n > 30 or 2 ** p.n > bound * 8:
-        raise GuardExceeded("upper-set frame", 2 ** p.n, bound)
-    return frame_of_down_sets(p.up_sets(), p, guard=guard)
+    ups = p.up_sets(bound=config.frame_guard(guard), what="upper-set frame")
+    return frame_of_down_sets(ups, p, guard=guard)
 
 
 def is_flat(f):

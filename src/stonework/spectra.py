@@ -9,7 +9,7 @@ from operator import and_, or_
 from .bits import bits, mask_of, popcount
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
-from .coverage import GrothendieckTopology, ideal_frame, principal_j_ideal, saturate
+from .coverage import GrothendieckTopology, ideal_frame, principal_j_ideal
 from .duality import is_cover_preserving
 from .order import Preorder, closed_family, frame_of_down_sets, is_flat, set_label
 
@@ -113,14 +113,13 @@ def j_prime_filters(C_or_J, J=None):
     """All J-prime filters in canonical (ascending bitmask) order.
 
     Accepts (preorder, coverage-or-topology) or just the site object.
-    For a coverage the prime condition over its generating families
-    agrees with the condition over the saturation, so a coverage is
-    never saturated here.  A finite, nonempty, down-directed up-set is
-    principal, so only the up-sets up[c] are candidates.
+    A finite, nonempty, down-directed up-set is principal, and up[x]
+    meets every family on every member exactly when x is in J.dmask, so
+    the filters are the distinct up[d], d in D.
     """
     if J is None:
         J = C_or_J
-    return sorted(m for m in set(J.base.up) if is_j_prime_filter(J, m))
+    return sorted({J.base.up[d] for d in bits(J.dmask)})
 
 
 def completely_prime_filters(fr):
@@ -270,7 +269,6 @@ def induced_map(f, J, K):
     ok, witness = is_cover_preserving(f, J, K)
     if not ok:
         raise InvalidStructure(f"site morphism must preserve covers; fails at {witness}")
-    J, K = saturate(J), saturate(K)
     src = subterminal_space(K)
     dst = subterminal_space(J)
     kfilters = j_prime_filters(K)

@@ -393,7 +393,7 @@ def zariski_coverage(ring, s=None, guard=None):
                 continue
             if _semigroup_sums(ring, y) & set(bits(xclass)):
                 covers[x].add(t)
-    return Coverage(po, [frozenset(c) for c in covers], trusted_stable=True)
+    return Coverage(po, [frozenset(c) for c in covers])
 
 
 def _powers_till_cycle(ring, a):

@@ -2,11 +2,12 @@
 
 Each function here is the literal definition, searched exhaustively: the
 submask scan for down-sets, generate-and-test for topologies, the
-fixpoint of the saturation rules, and the 2**n scan for prime filters.
-They are exponential and only meant for tiny carriers.
+fixpoint of the saturation rules, the fixpoint of the closure rule, and
+the 2**n scan for prime filters.  They are exponential and only meant
+for tiny carriers.
 """
 
-from stonework.bits import bits, submasks
+from stonework.bits import bits, mask_of, submasks
 from stonework.coverage import topology_failure
 from stonework.spectra import is_j_prime_filter
 
@@ -78,6 +79,71 @@ def fixpoint_saturation(cov):
                         changed = True
                         break
     return tuple(frozenset(s) for s in J)
+
+
+def fixpoint_closure(p, families, mask):
+    """Least down-set containing `mask` that takes in every c with a
+    family in `families[c]` inside it: the J-closure when `families` is
+    the sieve table of J, and the closure under the raw generators when
+    it is a coverage's `covers`."""
+    out = p.down_closure(mask)
+    changed = True
+    while changed:
+        changed = False
+        for d in range(p.n):
+            if (out >> d) & 1:
+                continue
+            for fam in families[d]:
+                if fam & ~out == 0:
+                    out |= p.dn[d]
+                    changed = True
+                    break
+    return out
+
+
+def is_weakly_stable(cov):
+    """Whether every generator, restricted to a smaller element, can be
+    refined by a generator there."""
+    p = cov.base
+    for c in range(p.n):
+        for fam in cov.covers[c]:
+            sieve = p.down_closure(fam)
+            for c2 in bits(p.dn[c]):
+                ok = False
+                for fam2 in cov.covers[c2]:
+                    if fam2 & ~(sieve & p.dn[c2]) == 0:
+                        ok = True
+                        break
+                if not ok and not any(
+                    p.down_closure(fam2) & ~(sieve & p.dn[c2]) == 0 for fam2 in cov.covers[c2]
+                ):
+                    return False
+    return True
+
+
+def raw_closure_matches_saturation(cov):
+    """Whether closing under the raw generators gives the closure under
+    the saturation on every down-set; true on weakly stable coverages."""
+    p = cov.base
+    sieves = fixpoint_saturation(cov)
+    return all(fixpoint_closure(p, cov.covers, m) == fixpoint_closure(p, sieves, m)
+               for m in brute_down_sets(p))
+
+
+def brute_dmask(p, sieves):
+    """The D of J_D from a sieve table: the x that no covering sieve on x
+    leaves out."""
+    return mask_of(x for x in range(p.n) if all((s >> x) & 1 for s in sieves[x]))
+
+
+def brute_ideal_frame(p, sieves):
+    """(ideals ascending, meet table, join table) of the J-ideals, from
+    the down-sets fixed by the fixpoint closure."""
+    ideals = [m for m in brute_down_sets(p) if fixpoint_closure(p, sieves, m) == m]
+    index = {m: i for i, m in enumerate(ideals)}
+    meet = [[index[a & b] for b in ideals] for a in ideals]
+    join = [[index[fixpoint_closure(p, sieves, a | b)] for b in ideals] for a in ideals]
+    return ideals, meet, join
 
 
 def brute_j_prime_filters(J):

@@ -22,8 +22,8 @@ from stonework.corpus import (
 )
 from stonework.coverage import (
     GrothendieckTopology,
-    closure_fn,
     ideal_frame,
+    j_closure,
     named_coverage,
     principal_j_ideal,
     saturate,
@@ -142,8 +142,7 @@ def test_criterion_3_principal_equals_c_compact():
             except InvalidStructure:
                 continue
             fr = ideal_frame(cov)
-            cl = closure_fn(cov)
-            principal = sorted({cl(cov.base.dn[c]) for c in range(cov.base.n)})
+            principal = sorted({j_closure(cov, cov.base.dn[c]) for c in range(cov.base.n)})
             _, compact_elems = c_compact_elements(fr, inv)
             compact = sorted(fr.element_masks[e] for e in compact_elems)
             assert principal == compact, (clause, p)

@@ -200,6 +200,74 @@ class TestCommands:
         assert exc.value.code == 2
 
 
+def _chain_file(tmp_path, n):
+    f = tmp_path / f"chain{n}.json"
+    f.write_text(json.dumps({"elements": [f"c{i}" for i in range(n)],
+                             "leq": [[i, i + 1] for i in range(n - 1)]}))
+    return str(f)
+
+
+class TestGuardsBoundRealSize:
+    def test_upper_set_frame_of_chain24(self, capsys, tmp_path):
+        # 2**24 subsets, but only 25 up-sets
+        f = _chain_file(tmp_path, 24)
+        code, out = run(capsys, "check", "--invariant", "twovalued", "--input", f)
+        assert code == 0
+        assert json.loads(out)["result"] == {"invariant": "twovalued", "structure": False,
+                                             "frame": False}
+        assert run(capsys, "--guard", "25", "check", "--invariant", "twovalued", "--input", f)[0] == 0
+        code, out = run(capsys, "--guard", "24", "check", "--invariant", "twovalued", "--input", f)
+        assert code == 1
+        assert json.loads(out)["message"] == "upper-set frame would need 25 elements, over the guard of 24"
+
+    def test_upper_set_frame_refused_with_its_real_size(self, capsys, tmp_path):
+        f = _chain_file(tmp_path, 24)
+        code, out = run(capsys, "--guard", "10", "check", "--invariant", "twovalued", "--input", f)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "GuardExceeded",
+            "message": "upper-set frame would need 11 elements, over the guard of 10",
+        }
+
+    def test_ideal_frame_guard_message(self, capsys, tmp_path):
+        f = tmp_path / "antichain8.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(8)], "leq": []}))
+        code, out = run(capsys, "--guard", "100", "ideal-frame", str(f))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "GuardExceeded",
+            "message": "ideal frame would need 101 elements, over the guard of 100",
+        }
+
+
+class TestNoSaturationWhereOnlyFramesAreRead:
+    # each of these sites is over the 16-element saturation guard
+    def test_mslat_demorgan_chain17(self, capsys, chain17_file):
+        code, out = run(capsys, "check", "--invariant", "demorgan", "--kind", "mslat",
+                        "--input", chain17_file)
+        assert code == 0
+        assert json.loads(out)["result"]["holds"] is True
+
+    def test_mslat_twovalued_chain17(self, capsys, chain17_file):
+        code, out = run(capsys, "check", "--invariant", "twovalued", "--kind", "mslat",
+                        "--input", chain17_file)
+        assert code == 0
+        assert json.loads(out)["result"]["frame"] is False
+
+    def test_space_on_covers_file_of_chain18(self, capsys, tmp_path):
+        # {c4} covers c5 and {c9} covers c10, so D is the other 16 elements
+        f = tmp_path / "site.json"
+        f.write_text(json.dumps({
+            "poset": {"elements": [f"c{i}" for i in range(18)], "leq": [[i, i + 1] for i in range(17)]},
+            "covers": {"c5": [["c4"]], "c10": [["c9"]]},
+        }))
+        code, out = run(capsys, "space", "--site", str(f))
+        assert code == 0
+        data = json.loads(out)["result"]
+        assert data["ideals"] == 17 and data["enough_points"] is True
+        assert len(data["space"]["points"]) == 16
+
+
 class TestSweep:
     def test_sweep_passes_and_deterministic(self, capsys):
         code1, out1 = run(capsys, "sweep", "--max-poset", "3", "--max-dlat", "4",

@@ -15,7 +15,6 @@ from stonework.corpus import (
     random_site,
 )
 from stonework.coverage import (
-    coverage_closure_matches_saturation,
     Coverage,
     GrothendieckTopology,
     all_sieves,
@@ -35,8 +34,19 @@ from stonework.coverage import (
 )
 from stonework.errors import InvalidStructure
 from stonework.order import as_poset, iso_search, lower_sets, preorder_from_pairs
+from stonework.spectra import j_prime_filters
 
-from oracles import brute_all_sieves, brute_topologies, fixpoint_saturation
+from oracles import (
+    brute_all_sieves,
+    brute_dmask,
+    brute_ideal_frame,
+    brute_j_prime_filters,
+    brute_topologies,
+    fixpoint_closure,
+    fixpoint_saturation,
+    is_weakly_stable,
+    raw_closure_matches_saturation,
+)
 
 
 def boolean4():
@@ -145,10 +155,12 @@ class TestSaturate:
         covers = [frozenset() for _ in range(4)]
         covers[3] = frozenset([1 << 1])
         cov = Coverage(p, covers)
-        assert not cov.is_weakly_stable()
-        assert not coverage_closure_matches_saturation(cov)
+        assert not is_weakly_stable(cov)
+        assert not raw_closure_matches_saturation(cov)
         J = saturate(cov)
         assert (1 << 0) in J.sieves[2]
+        # the one-pass closure of the coverage is the saturated one
+        assert all(j_closure(cov, m) == fixpoint_closure(p, J.sieves, m) for m in range(1 << p.n))
 
     def test_stable_generators_match_raw_closure(self):
         for p in posets_upto(3):
@@ -157,8 +169,8 @@ class TestSaturate:
                     cov = named_coverage(p, kind)
                 except InvalidStructure:
                     continue
-                assert cov.is_weakly_stable()
-                assert coverage_closure_matches_saturation(cov)
+                assert is_weakly_stable(cov)
+                assert raw_closure_matches_saturation(cov)
 
 
 class TestGrothendieckTopology:
@@ -239,6 +251,52 @@ class TestIdealFrame:
             fr = ideal_frame(J)
             expected = sorted(m for m in p.down_sets() if is_j_ideal(J, m))
             assert list(fr.element_masks) == expected
+
+
+def _assert_matches_oracles(J, sieves):
+    """The D-based closure, frame and filters of a coverage or topology
+    against the fixpoint oracles on `sieves`, the sieve table of J."""
+    p = J.base
+    assert J.dmask == brute_dmask(p, sieves)
+    for m in range(1 << p.n):
+        assert j_closure(J, m) == fixpoint_closure(p, sieves, m), m
+    ideals, meet, join = brute_ideal_frame(p, sieves)
+    fr = ideal_frame(J)
+    assert list(fr.element_masks) == ideals
+    assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join))
+    oracle_site = GrothendieckTopology(p, sieves, _checked=True)
+    assert j_prime_filters(J) == brute_j_prime_filters(oracle_site)
+
+
+class TestJDAgainstOracles:
+    def test_random_coverages_of_small_preorders(self):
+        import random
+
+        for n in range(5):
+            for q in all_preorders(n):
+                for seed in range(20):
+                    cov = random_coverage(q, random.Random(seed))
+                    sieves = fixpoint_saturation(cov)
+                    _assert_matches_oracles(cov, sieves)
+                    _assert_matches_oracles(GrothendieckTopology(q, sieves, _checked=True), sieves)
+
+    def test_named_coverages_of_small_posets(self):
+        for p in posets_upto(4):
+            for kind, param in [("trivial", None), ("coherent", None), ("canonical", None),
+                                ("disjunctive", None), ("atomic", None), ("supercompact", None),
+                                ("directed", None), ("k", 1), ("k", 2), ("k", 3)]:
+                try:
+                    cov = named_coverage(p, kind, param)
+                except InvalidStructure:
+                    continue
+                _assert_matches_oracles(cov, fixpoint_saturation(cov))
+
+    def test_random_sites(self):
+        import random
+
+        for seed in range(100):
+            p, J = random_site(7, random.Random(seed))
+            _assert_matches_oracles(J, J.sieves)
 
 
 class TestPrincipalAndSubcanonical:

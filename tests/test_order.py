@@ -121,6 +121,23 @@ class TestLowerUpperSets:
             for within in withins:
                 assert p.down_sets(within) == brute_down_sets(p, within)
 
+    def test_down_sets_guard_stops_at_bound_plus_one(self):
+        antichain3 = preorder_from_pairs(3, [])
+        with pytest.raises(GuardExceeded) as exc:
+            antichain3.down_sets(bound=5, what="down-sets")
+        assert (exc.value.what, exc.value.size, exc.value.bound) == ("down-sets", 6, 5)
+        with pytest.raises(GuardExceeded) as exc:
+            antichain3.up_sets(bound=7, what="up-sets")
+        assert exc.value.size == 8
+        assert len(antichain3.down_sets(bound=8)) == len(antichain3.up_sets(bound=8)) == 8
+
+    def test_lower_and_upper_set_frames_refused_by_real_size(self):
+        chain24 = preorder_from_pairs(24, [(i, i + 1) for i in range(23)])
+        assert lower_sets(chain24).n == upper_sets(chain24).n == 25
+        with pytest.raises(GuardExceeded) as exc:
+            lower_sets(chain24, guard=24)
+        assert str(exc.value) == "lower-set frame would need 25 elements, over the guard of 24"
+
     def test_upper_sets_is_lower_sets_of_op(self):
         for p in posets_upto(4):
             assert iso_search(upper_sets(p), lower_sets(p.op())) is not None
