@@ -207,9 +207,7 @@ def ideal_frame(J, guard=None):
     """
     p, dmask = J.base, J.dmask
     downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
-    ideal_of = {m: j_closure(J, m) for m in downs}
-    return frame_of_down_sets(ideal_of.values(), p, join_closure=lambda m: ideal_of[m & dmask],
-                              guard=guard)
+    return frame_of_down_sets([j_closure(J, m) for m in downs], p, join_within=dmask, guard=guard)
 
 
 def is_subcanonical(J):

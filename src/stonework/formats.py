@@ -5,6 +5,8 @@ dump round-trips through its loader; loaders validate.
 """
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .bits import bits, mask_of
 from .coverage import Coverage
@@ -128,8 +130,80 @@ def ring_from_json(obj):
 
 
 def dumps(obj):
-    """Canonical JSON text: sorted keys, no float drift, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, no float drift, trailing newline.
+
+    The same bytes as json.dumps(obj, sort_keys=True, indent=2) + "\n",
+    without the pure-Python indent encoder: a list of scalars is one call
+    of the C encoder, and a table of small non-negative ints is joined
+    row by row from precomputed digit strings.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_INTS = frozenset({int})
+_LISTS = frozenset({list, tuple})
+
+
+def _scalar_encoder(nl):
+    """The C encoder for scalar lists whose items start lines with `nl`."""
+    return json.JSONEncoder(separators=("," + nl, ": "))
+
+
+def _write(x, nl, out):
+    """Append the indent-2 text of x, where `nl` is a newline followed by
+    the indentation of the line that x starts on."""
+    inner = nl + "  "
+    kind = type(x)
+    if kind is dict and x and set(map(type, x)) == {str}:
+        sep = "{" + inner
+        for key in sorted(x):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+        return
+    if (kind is list or kind is tuple) and x:
+        types = set(map(type, x))
+        if types <= _SCALARS:
+            out.append("[" + inner + _scalar_encoder(inner).encode(x)[1:-1] + nl + "]")
+            return
+        if types <= _LISTS:
+            cells = set(map(type, chain.from_iterable(x)))
+            if cells <= _SCALARS:
+                rows = _int_rows(x, inner) if cells <= _INTS else None
+                if rows is None:
+                    encode = _scalar_encoder(inner + "  ").encode
+                    rows = ["[" + inner + "  " + encode(row)[1:-1] + inner + "]" if row else "[]"
+                            for row in x]
+                out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+                return
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+        return
+    out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _int_rows(rows, nl):
+    """The text of each row of an int table, each starting on a line
+    indented as `nl`, from one digit string per value; None unless the
+    values are non-negative and fewer than the cells."""
+    full = [row for row in rows if row]
+    high = max(map(max, full), default=0)
+    if min(map(min, full), default=0) < 0 or high >= sum(map(len, full)):
+        return None
+    strs = list(map(str, range(high + 1)))
+    cell = nl + "  "
+    sep, close = "," + cell, nl + "]"
+    return ["[" + cell + sep.join(map(strs.__getitem__, row)) + close if row else "[]"
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ The relation is stored per element as bitmasks: up[i] is the set of j with
 i <= j, dn[i] the set of j with j <= i.
 """
 
-from .bits import bits, mask_of, popcount
+from .bits import bits, mask_of, popcount, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 
@@ -16,7 +16,7 @@ class Preorder:
     def __init__(self, n, up, labels=None, _checked=False):
         self.n = n
         self.up = tuple(up)
-        self.dn = tuple(mask_of(i for i in range(n) if (self.up[i] >> j) & 1) for j in range(n))
+        self.dn = tuple(transpose(self.up, n))
         self.labels = tuple(labels) if labels is not None else None
         if not _checked:
             self._check()
@@ -148,9 +148,10 @@ class Poset(Preorder):
     def _check(self):
         super()._check()
         for i in range(self.n):
-            for j in bits(self.up[i]):
-                if i != j and self.leq(j, i):
-                    raise InvalidStructure(f"not antisymmetric: {i} <= {j} <= {i}")
+            both = self.up[i] & self.dn[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise InvalidStructure(f"not antisymmetric: {i} <= {j} <= {i}")
 
 
 def preorder_from_pairs(n, pairs, labels=None):
@@ -273,10 +274,11 @@ class FiniteFrame:
             self.index = {m: i for i, m in enumerate(self.element_masks)}
         if meet is None or join is None:
             meet, join = self._tables_from_order()
-        self.meet = tuple(tuple(row) for row in meet)
-        self.join = tuple(tuple(row) for row in join)
-        bot = [i for i in range(self.n) if popcount(poset.up[i]) == self.n]
-        top = [i for i in range(self.n) if popcount(poset.dn[i]) == self.n]
+        self.meet = tuple(map(tuple, meet))
+        self.join = tuple(map(tuple, join))
+        full = (1 << self.n) - 1
+        bot = [i for i in range(self.n) if self.poset.up[i] == full]
+        top = [i for i in range(self.n) if self.poset.dn[i] == full]
         if len(bot) != 1 or len(top) != 1:
             raise InvalidStructure("carrier is not bounded")
         self.bot = bot[0]
@@ -417,16 +419,32 @@ def set_label(name, mask):
 
 
 def inclusion_order(masks, labels=None):
-    """The poset of distinct subsets, listed as bitmasks, under inclusion."""
-    up = [mask_of(j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
-    return Poset(len(masks), up, labels=labels)
+    """The poset of distinct subsets, listed as bitmasks, under inclusion.
+
+    masks[i] lies inside masks[j] when j holds every b in masks[i], so
+    up[i] is the meet, over the b in masks[i], of the members holding b.
+    """
+    n = len(masks)
+    holders = transpose(masks, max(masks, default=0).bit_length())
+    everyone = (1 << n) - 1
+    up = []
+    for m in masks:
+        u = everyone
+        for b in bits(m):
+            u &= holders[b]
+        up.append(u)
+    return Poset(n, up, labels=labels)
 
 
-def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=None):
+def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join_within=None,
+                       guard=None):
     """Frame whose elements are the given subsets of an ambient carrier.
 
-    Elements are sorted ascending as bitmasks.  Meet is intersection; join
-    is union when `join_closure` is None, else the closure of the union.
+    Elements are sorted ascending as bitmasks.  Meet is intersection.
+    Join is union when neither `join_closure` nor `join_within` is given;
+    else the closure of the union, or the element whose part inside the
+    mask `join_within` is the union of the two parts there (each element
+    must be fixed by that part, as a J-ideal is by its D-part).
     """
     elems = sorted(set(family))
     bound = config.frame_guard(guard)
@@ -437,20 +455,23 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, guard=No
     if labels is None and ambient is not None:
         labels = [set_label(ambient.label, m) for m in elems]
     poset = inclusion_order(elems, labels)
-    meet = [[None] * n for _ in range(n)]
-    join = [[None] * n for _ in range(n)]
-    for i, mi in enumerate(elems):
-        for j, mj in enumerate(elems):
-            inter = mi & mj
-            if inter not in index:
-                raise InvalidStructure("family is not closed under intersection")
-            meet[i][j] = index[inter]
-            uni = mi | mj
-            if join_closure is not None:
-                uni = join_closure(uni)
-            if uni not in index:
-                raise InvalidStructure("family is not closed under join")
-            join[i][j] = index[uni]
+    try:
+        meet = [[index[mi & mj] for mj in elems] for mi in elems]
+    except KeyError:
+        raise InvalidStructure("family is not closed under intersection") from None
+    try:
+        if join_closure is not None:
+            join = [[index[join_closure(mi | mj)] for mj in elems] for mi in elems]
+        elif join_within is not None:
+            parts = [m & join_within for m in elems]
+            part_index = {d: i for i, d in enumerate(parts)}
+            if len(part_index) != n:
+                raise InvalidStructure("two elements share their part inside join_within")
+            join = [[part_index[di | dj] for dj in parts] for di in parts]
+        else:
+            join = [[index[mi | mj] for mj in elems] for mi in elems]
+    except KeyError:
+        raise InvalidStructure("family is not closed under join") from None
     # the lattice laws hold structurally for an intersection/closure
     # family; the exhaustive verification is kept for small carriers
     fr = FiniteFrame(poset, meet, join, element_masks=elems, _checked=n > 64)

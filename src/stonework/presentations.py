@@ -6,6 +6,7 @@ join-semilattice; a small text DSL for lattice presentations in the
 horn / coherent / geometric fragments; reflection units.
 """
 
+import sys
 from itertools import product
 from operator import and_, or_
 
@@ -150,8 +151,17 @@ def extension_is_unique(J, frame, f, guard=None):
 # free structures
 
 
+def _guard_subsets(k, what):
+    """Refuse, before listing them, the 2^k subsets of k generators when
+    they are more than the frame guard allows."""
+    bound = config.frame_guard()
+    if k >= max(bound, 0).bit_length():
+        raise GuardExceeded(what, 2 ** k if k < 64 else f"2^{k}", bound)
+
+
 def free_meet_semilattice(k):
     """P_fin(A)^op for |A| = k: subsets under reverse inclusion."""
+    _guard_subsets(k, "free meet-semilattice")
     masks = range(1 << k)
     return inclusion_order(masks, [set_label(lambda a: f"g{a}", u) for u in masks]).op()
 
@@ -460,7 +470,7 @@ def parse_presentation(text, logic):
         if gens is None:
             raise ParseError("relations before the generators line", line=ln)
         gi = {g: i for i, g in enumerate(gens)}
-        relations.append(_Parser(line, ln, gi).relation())
+        relations.append(_parse_relation(line, ln, gi))
     if gens is None:
         raise ParseError("missing generators line")
     return Presentation(gens, relations, logic)
@@ -468,7 +478,32 @@ def parse_presentation(text, logic):
 
 def parse_query(text, presentation):
     gi = {g: i for i, g in enumerate(presentation.generators)}
-    return _Parser(text.strip(), 1, gi).relation()
+    return _parse_relation(text.strip(), 1, gi)
+
+
+def _parse_relation(text, line, gen_index):
+    """One relation.  Terms are checked and evaluated by recursion, once
+    per level, so terms nested past half the recursion limit are refused."""
+    try:
+        rel = _Parser(text, line, gen_index).relation()
+    except RecursionError:
+        rel = None
+    if rel is None or max(map(_height, rel[1:])) > sys.getrecursionlimit() // 2:
+        raise ParseError("terms nested too deeply", line=line)
+    return rel
+
+
+def _height(t):
+    """The number of levels of a term tree, counted without recursion."""
+    best, stack = 0, [(t, 1)]
+    while stack:
+        t, h = stack.pop()
+        best = max(best, h)
+        if t[0] in ("meet", "join"):
+            stack += [(t[1], h + 1), (t[2], h + 1)]
+        elif t[0] == "Join":
+            stack += [(u, h + 1) for u in t[1]]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +540,11 @@ def _horn_norm(t):
 
 def present_horn(pres):
     """Meet-semilattice presented by implications: the closure system of
-    the relation-driven attribute closure, ordered by reverse inclusion."""
+    the relation-driven attribute closure, ordered by reverse inclusion.
+    Each of the 2^k subsets of the generators is closed, so the frame
+    guard bounds 2^k."""
     k = len(pres.generators)
+    _guard_subsets(k, "horn presentation")
     rules = []
     for op, t1, t2 in pres.relations:
         a, b = _horn_norm(t1), _horn_norm(t2)

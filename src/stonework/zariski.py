@@ -226,11 +226,12 @@ def proper_ideals(ring):
     return [m for m in all_ideals(ring) if not (m >> ring.one) & 1]
 
 
-def prime_filters_ring(ring):
-    """Complements of prime ideals; the filter axioms are rechecked."""
+def prime_filters_ring(ring, primes=None):
+    """Complements of prime ideals (found here unless given); the filter
+    axioms are rechecked."""
     full = (1 << ring.n) - 1
     out = []
-    for P in prime_ideals(ring):
+    for P in primes if primes is not None else prime_ideals(ring):
         S = full & ~P
         if not (S >> ring.one) & 1 or (S >> ring.zero) & 1:
             raise CheckFailed("prime filter fails the unit clauses")
@@ -490,9 +491,10 @@ def zariski_lattice(ring, guard=None, site=None):
 # spectra
 
 
-def spec_space(ring):
-    """Spec(A) with the Zariski topology; basic opens are D(a)."""
-    primes = prime_ideals(ring)
+def spec_space(ring, primes=None):
+    """Spec(A) with the Zariski topology; basic opens are D(a).  The
+    prime ideals are found here unless given."""
+    primes = primes if primes is not None else prime_ideals(ring)
     subbasis = [
         mask_of(i for i, P in enumerate(primes) if not (P >> a) & 1) for a in range(ring.n)
     ]
@@ -500,14 +502,15 @@ def spec_space(ring):
     return space_from_subbasis(len(primes), subbasis, labels=labels), primes
 
 
-def zariski_point_space(ring, s=None, frame=None):
+def zariski_point_space(ring, s=None, frame=None, primes=None):
     """The subterminal space over (S(A), C): points are the C-prime
     filters on S(A), opens are the F_I over C-ideals I in the frame
-    Id_C(S(A)), built here unless given."""
+    Id_C(S(A)).  The monoid, the frame and the prime ideals are built
+    here unless given."""
     if s is None:
         _, _, s = s_monoid(ring)
     po = s.poset
-    ring_filters = prime_filters_ring(ring)
+    ring_filters = prime_filters_ring(ring, primes)
     filters = []
     for S in ring_filters:
         F = mask_of(s.pi[a] for a in bits(S))
@@ -552,8 +555,8 @@ def spectra_homeomorphism(ring, site=None):
     and Spec(A) with the Zariski topology, verified open-for-open."""
     site = site if site is not None else ZariskiSite(ring)
     pi = site.pi
-    space1, filters = zariski_point_space(ring, site.s, site.frame)
-    space2, primes = spec_space(ring)
+    space1, filters = zariski_point_space(ring, site.s, site.frame, site.primes)
+    space2, primes = spec_space(ring, site.primes)
     if space1.n != space2.n:
         raise CheckFailed(f"point counts differ: {space1.n} vs {space2.n}")
     full = (1 << ring.n) - 1
@@ -574,8 +577,8 @@ def spectra_homeomorphism(ring, site=None):
 
 class ZariskiSite:
     """Caches for repeated Zariski computations over one ring: the monoid
-    quotient, the frame Id_C(S(A)) (built on first use), power chains,
-    generated ideals, and C-ideal closures."""
+    quotient, the frame Id_C(S(A)) and the prime ideals (both found on
+    first use), power chains, generated ideals, and C-ideal closures."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -587,6 +590,10 @@ class ZariskiSite:
     @cached_property
     def frame(self):
         return zariski_ideal_frame(self.ring, self.s)
+
+    @cached_property
+    def primes(self):
+        return prime_ideals(self.ring)
 
     def powers(self, a):
         if a not in self._powers:

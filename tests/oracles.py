@@ -4,7 +4,8 @@ Each function here is the literal definition, searched exhaustively: the
 submask scan for down-sets, generate-and-test for topologies, the
 fixpoint of the saturation rules, the fixpoint of the closure rule, and
 the 2**n scan for prime filters.  They are exponential and only meant
-for tiny carriers.
+for tiny carriers.  The rest are the direct forms of the table builders:
+bits by shifting, relations pair by pair, frame tables cell by cell.
 """
 
 from stonework.bits import bits, mask_of, submasks
@@ -138,14 +139,51 @@ def brute_dmask(p, sieves):
 
 def brute_ideal_frame(p, sieves):
     """(ideals ascending, meet table, join table) of the J-ideals, from
-    the down-sets fixed by the fixpoint closure."""
+    the down-sets fixed by the fixpoint closure, tables cell by cell."""
     ideals = [m for m in brute_down_sets(p) if fixpoint_closure(p, sieves, m) == m]
-    index = {m: i for i, m in enumerate(ideals)}
-    meet = [[index[a & b] for b in ideals] for a in ideals]
-    join = [[index[fixpoint_closure(p, sieves, a | b)] for b in ideals] for a in ideals]
+    meet, join = cell_frame_tables(ideals, lambda m: fixpoint_closure(p, sieves, m))
     return ideals, meet, join
 
 
 def brute_j_prime_filters(J):
     """Every subset of the carrier that is a J-prime filter, ascending."""
     return [m for m in range(1 << J.base.n) if is_j_prime_filter(J, m)]
+
+
+def shift_bits(mask):
+    """Indices of the set bits, ascending, by shifting through every
+    bit position."""
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def pairwise_dn(up):
+    """dn[j] of a relation given by up-masks: every i with j in up[i]."""
+    n = len(up)
+    return tuple(mask_of(i for i in range(n) if (up[i] >> j) & 1) for j in range(n))
+
+
+def pairwise_inclusion_up(masks):
+    """up[i] of the inclusion order: every j whose mask contains masks[i]."""
+    return [mask_of(j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
+
+
+def cell_frame_tables(elems, join_closure=None):
+    """(meet, join) tables of a family of masks, one cell at a time: the
+    index of the intersection, and of the union or its closure."""
+    index = {m: i for i, m in enumerate(elems)}
+    n = len(elems)
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for i, mi in enumerate(elems):
+        for j, mj in enumerate(elems):
+            meet[i][j] = index[mi & mj]
+            uni = mi | mj
+            if join_closure is not None:
+                uni = join_closure(uni)
+            join[i][j] = index[uni]
+    return meet, join

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stonework import formats, order
 from stonework.cli import main
 from stonework.formats import (
     coverage_from_json,
     coverage_to_json,
+    dumps,
     frame_from_json,
     frame_to_json,
     poset_from_json,
@@ -50,9 +54,17 @@ def boolean4_file(tmp_path):
     return str(f)
 
 
+def _assert_canonical(out):
+    """JSON on stdout is exactly json.dumps(sort_keys=True, indent=2) of
+    itself plus a newline; DOT output is left alone."""
+    if not out.startswith("digraph"):
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
+    _assert_canonical(out)
     return code, out
 
 
@@ -239,6 +251,24 @@ class TestGuardsBoundRealSize:
             "message": "ideal frame would need 101 elements, over the guard of 100",
         }
 
+    def test_free_mslat_refused_before_listing(self, capsys):
+        code, out = run(capsys, "--guard", "1000", "free", "--what", "mslat", "--gens", "12")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "GuardExceeded",
+            "message": "free meet-semilattice would need 4096 elements, over the guard of 1000",
+        }
+
+    def test_horn_presentation_refused_before_listing(self, capsys, tmp_path):
+        f = tmp_path / "horn12.txt"
+        f.write_text("generators: " + " ".join(f"g{i}" for i in range(12)) + "\n")
+        code, out = run(capsys, "--guard", "1000", "present", "--logic", "horn", str(f))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "GuardExceeded",
+            "message": "horn presentation would need 4096 elements, over the guard of 1000",
+        }
+
 
 class TestNoSaturationWhereOnlyFramesAreRead:
     # each of these sites is over the 16-element saturation guard
@@ -315,10 +345,15 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
         (b"\xff\xfe", ["zariski", "--ring", "{f}"], "ParseError"),
         (b"generators: a\n\xff <= a\n", ["present", "--logic", "coherent", "{f}"], "ParseError"),
         (None, ["zariski", "--ring", "{d}"], "FileError"),
+        (b"generators: a\n" + b"(" * 3000 + b"a" + b")" * 3000 + b" <= a\n",
+         ["present", "--logic", "coherent", "{f}"], "ParseError"),
+        (b"generators: a\n" + b"a & " * 3000 + b"a <= a\n",
+         ["present", "--logic", "horn", "{f}"], "ParseError"),
     ],
     ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
          "ring-rows-short", "covers-list", "family-string", "site-number",
-         "ring-not-utf8", "presentation-not-utf8", "ring-directory"],
+         "ring-not-utf8", "presentation-not-utf8", "ring-directory",
+         "presentation-nested-parentheses", "presentation-long-meet"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     f = tmp_path / "input.json"
@@ -330,6 +365,7 @@ def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
+    _assert_canonical(captured.out)
     data = json.loads(captured.out)
     assert sorted(data) == ["error", "message"] and data["error"] == error
 
@@ -355,6 +391,8 @@ def _exit_code(argv):
             return exc.code
     if code == 1:
         assert sorted(json.loads(out.getvalue())) == ["error", "message"]
+    if code in (0, 1):
+        _assert_canonical(out.getvalue())
     assert err.getvalue() == ""
     return code
 
@@ -369,3 +407,65 @@ def test_loaders_fuzzed_through_main(tmp_path_factory, value, text, logic):
     for argv in (["ideal-frame", f], ["filters", "--site", f], ["zariski", "--ring", f],
                  ["present", "--logic", logic, pres]):
         assert _exit_code(argv) in (0, 1, 2), argv
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap every binding of `fn` across the loaded stonework modules, as
+    the benchmark's tracer does; returns the list the calls append to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stonework") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_one_emit_per_command_and_one_frame_per_ideal_frame(capsys, monkeypatch, boolean4_file,
+                                                            chain17_file):
+    emits = _count_calls(monkeypatch, formats.dumps)
+    frames = _count_calls(monkeypatch, order.frame_of_down_sets)
+    # (argv, frame_of_down_sets calls, or None where not pinned)
+    commands = [(["ideal-frame", boolean4_file, "--coverage", "coherent"], 1),
+                (["ideal-frame", chain17_file], 1),
+                (["ideal-frame", boolean4_file, "--coverage", "k:x"], 0),
+                (["space", "--site", boolean4_file], None),
+                (["filters", "--site", boolean4_file], None),
+                (["zariski", "--ring", "zmod:12"], None),
+                (["free", "--what", "mslat", "--gens", "3"], None),
+                (["check", "--invariant", "boolean", "--input", boolean4_file], None),
+                (["dual", "--kind", "birkhoff", boolean4_file], None)]
+    for argv, frame_calls in commands:
+        del emits[:], frames[:]
+        run(capsys, *argv)
+        assert len(emits) == 1, argv
+        assert frame_calls is None or len(frames) == frame_calls, argv
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+_SCALAR = (st.none() | st.booleans() | st.integers(-3, 40) | st.integers(-2 ** 80, 2 ** 80)
+           | _FLOATS | st.text(max_size=6) | st.sampled_from(["\n\"\\", "\u00e9\u4e2d\U0001f600", "\x00\x1f"]))
+_ROWS = st.lists(st.lists(st.integers(0, 40) | st.integers(-3, 3) | st.booleans(), max_size=6),
+                 max_size=6)
+_VALUE = st.recursive(
+    _SCALAR | _ROWS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_VALUE)
+def test_dumps_is_json_dumps_byte_for_byte(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_on_frame_tables():
+    for p in (preorder_from_pairs(6, []), preorder_from_pairs(5, [(0, 1), (1, 2), (0, 3)])):
+        obj = {"frame": frame_to_json(lower_sets(p)), "ring": ring_to_json(ring_zmod(12))}
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

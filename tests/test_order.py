@@ -13,7 +13,9 @@ from stonework.order import (
     Preorder,
     as_poset,
     closed_family,
+    frame_of_down_sets,
     identity_map,
+    inclusion_order,
     is_flat,
     iso_search,
     lower_sets,
@@ -24,7 +26,14 @@ from stonework.order import (
     validate_preorder,
 )
 
-from oracles import brute_down_sets, brute_up_sets
+from oracles import (
+    brute_down_sets,
+    brute_up_sets,
+    cell_frame_tables,
+    pairwise_dn,
+    pairwise_inclusion_up,
+    shift_bits,
+)
 
 
 
@@ -52,6 +61,66 @@ class TestValidatePreorder:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidStructure):
             validate_preorder([[1, 0], [0]])
+
+
+class TestTableBuildersAgainstOracles:
+    def test_bits_matches_shift_loop(self):
+        import random
+
+        rng = random.Random(11)
+        masks = list(range(1 << 12))
+        for width in (64, 120, 1024, 5000):
+            for density in (0.02, 0.1, 0.5, 0.95):
+                m = mask_of(i for i in range(width) if rng.random() < density) | (1 << (width - 1))
+                masks.append(m)
+                # whole zero bytes in the middle
+                for _ in range(3):
+                    k = rng.randrange(1, width // 8 - 1)
+                    masks.append(m & ~(((1 << rng.randrange(8, 64)) - 1) << (8 * k)))
+        for m in masks:
+            assert list(bits(m)) == list(shift_bits(m)), m
+        assert list(bits(0)) == []
+        assert next(bits(1 << 4999)) == 4999
+
+    def test_dn_and_inclusion_order_match_pairwise(self):
+        import random
+
+        for n in range(5):
+            for q in all_preorders(n):
+                assert q.dn == pairwise_dn(q.up)
+        rng = random.Random(5)
+        for _ in range(200):
+            width = rng.randint(0, 70)
+            masks = sorted({rng.getrandbits(width) & rng.getrandbits(width)
+                            for _ in range(rng.randint(1, 12))} | {0})
+            rng.shuffle(masks)
+            order = inclusion_order(masks)
+            assert list(order.up) == pairwise_inclusion_up(masks)
+            assert order.dn == pairwise_dn(order.up)
+            with pytest.raises(InvalidStructure, match="not antisymmetric"):
+                inclusion_order(masks + [masks[-1]])
+
+    def test_lower_set_frame_tables_match_cell_loop(self):
+        for p in posets_upto(5):
+            for fr in (lower_sets(p), upper_sets(p)):
+                meet, join = cell_frame_tables(fr.element_masks)
+                assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join))
+                assert fr.poset.up == tuple(pairwise_inclusion_up(fr.element_masks))
+                fr._check()
+
+    def test_join_within_and_its_errors(self):
+        # the 2-chain's down-sets, joined through their part in {0}:
+        # {}, {0}, {0,1} have parts 0, 1, 1, so two share a part
+        with pytest.raises(InvalidStructure, match="share their part"):
+            frame_of_down_sets([0b00, 0b01, 0b11], None, join_within=0b01)
+        with pytest.raises(InvalidStructure, match="closed under intersection"):
+            frame_of_down_sets([0b011, 0b110, 0b111], None)
+        with pytest.raises(InvalidStructure, match="closed under join"):
+            frame_of_down_sets([0b00, 0b01, 0b10], None)
+        with pytest.raises(InvalidStructure, match="closed under join"):
+            frame_of_down_sets([0b000, 0b001, 0b010], None, join_within=0b011)
+        fr = frame_of_down_sets([0b000, 0b001, 0b010, 0b111], None, join_within=0b011)
+        assert fr.join[1][2] == 3 and fr.meet[1][2] == 0
 
 
 class TestPosetQuotient:

@@ -10,6 +10,7 @@ from stonework.bits import mask_of
 from stonework.coverage import j_closure, saturate
 from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.spectra import j_prime_filters
+from stonework import zariski
 from stonework.zariski import (
     FiniteCommRing,
     ZariskiSite,
@@ -31,9 +32,12 @@ from stonework.zariski import (
     spectra_homeomorphism,
     zariski_closure,
     zariski_coverage,
+    zariski_ideal_frame,
     zariski_lattice,
     zariski_point_space,
 )
+
+from oracles import cell_frame_tables
 
 
 class TestRings:
@@ -209,8 +213,30 @@ class TestLattice:
         for n in range(1, 16):
             zariski_lattice(ring_zmod(n))  # raises on mismatch
 
+    def test_frame_tables_match_cell_loop(self):
+        for n in range(1, 41):
+            r = ring_zmod(n)
+            _, _, s = s_monoid(r)
+            fr = zariski_ideal_frame(r, s)
+            meet, join = cell_frame_tables(fr.element_masks, lambda m: zariski_closure(r, s, m))
+            assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join)), n
+
 
 class TestSpectra:
+    def test_zariski_command_finds_the_primes_once(self, monkeypatch, capsys):
+        from stonework.cli import main
+
+        calls = []
+
+        def counted(ring):
+            calls.append(ring.n)
+            return prime_ideals(ring)
+
+        monkeypatch.setattr(zariski, "prime_ideals", counted)
+        assert main(["zariski", "--ring", "zmod:30"]) == 0
+        capsys.readouterr()
+        assert calls == [30]
+
     def test_spec_zmod6_discrete(self):
         sp, primes = spec_space(ring_zmod(6))
         assert sp.n == 2
