@@ -207,7 +207,11 @@ def ideal_frame(J, guard=None):
     """
     p, dmask = J.base, J.dmask
     downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
-    return frame_of_down_sets([j_closure(J, m) for m in downs], p, join_within=dmask, guard=guard)
+    ideals = sorted(j_closure(J, m) for m in downs)
+    # the D-parts of the ideals, listed in the ideals' order
+    part = {m & dmask: i for i, m in enumerate(ideals)}
+    join = [[part[a | b] for b in part] for a in part]
+    return frame_of_down_sets(ideals, p, join=join, guard=guard)
 
 
 def is_subcanonical(J):

@@ -5,7 +5,7 @@ dump round-trips through its loader; loaders validate.
 """
 
 import json
-from itertools import chain
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .bits import bits, mask_of
@@ -133,9 +133,8 @@ def dumps(obj):
     """Canonical JSON text: sorted keys, no float drift, trailing newline.
 
     The same bytes as json.dumps(obj, sort_keys=True, indent=2) + "\n",
-    without the pure-Python indent encoder: a list of scalars is one call
-    of the C encoder, and a table of small non-negative ints is joined
-    row by row from precomputed digit strings.
+    without the pure-Python indent encoder: a list of scalars, such as a
+    row of a table, is one call of the C encoder.
     """
     out = []
     _write(obj, "\n", out)
@@ -144,13 +143,13 @@ def dumps(obj):
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_INTS = frozenset({int})
-_LISTS = frozenset({list, tuple})
 
 
-def _scalar_encoder(nl):
-    """The C encoder for scalar lists whose items start lines with `nl`."""
-    return json.JSONEncoder(separators=("," + nl, ": "))
+@lru_cache(maxsize=None)
+def _scalar_encode(nl):
+    """The C encoder for scalar lists whose items start lines with `nl`;
+    cached, as an order's pairs are thousands of lists at one indent."""
+    return json.JSONEncoder(separators=("," + nl, ": ")).encode
 
 
 def _write(x, nl, out):
@@ -167,20 +166,9 @@ def _write(x, nl, out):
         out.append(nl + "}")
         return
     if (kind is list or kind is tuple) and x:
-        types = set(map(type, x))
-        if types <= _SCALARS:
-            out.append("[" + inner + _scalar_encoder(inner).encode(x)[1:-1] + nl + "]")
+        if set(map(type, x)) <= _SCALARS:
+            out.append("[" + inner + _scalar_encode(inner)(x)[1:-1] + nl + "]")
             return
-        if types <= _LISTS:
-            cells = set(map(type, chain.from_iterable(x)))
-            if cells <= _SCALARS:
-                rows = _int_rows(x, inner) if cells <= _INTS else None
-                if rows is None:
-                    encode = _scalar_encoder(inner + "  ").encode
-                    rows = ["[" + inner + "  " + encode(row)[1:-1] + inner + "]" if row else "[]"
-                            for row in x]
-                out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
-                return
         sep = "[" + inner
         for item in x:
             out.append(sep)
@@ -189,21 +177,6 @@ def _write(x, nl, out):
         out.append(nl + "]")
         return
     out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", nl))
-
-
-def _int_rows(rows, nl):
-    """The text of each row of an int table, each starting on a line
-    indented as `nl`, from one digit string per value; None unless the
-    values are non-negative and fewer than the cells."""
-    full = [row for row in rows if row]
-    high = max(map(max, full), default=0)
-    if min(map(min, full), default=0) < 0 or high >= sum(map(len, full)):
-        return None
-    strs = list(map(str, range(high + 1)))
-    cell = nl + "  "
-    sep, close = "," + cell, nl + "]"
-    return ["[" + cell + sep.join(map(strs.__getitem__, row)) + close if row else "[]"
-            for row in rows]
 
 
 # ---------------------------------------------------------------------------

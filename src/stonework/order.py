@@ -436,15 +436,13 @@ def inclusion_order(masks, labels=None):
     return Poset(n, up, labels=labels)
 
 
-def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join_within=None,
-                       guard=None):
+def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join=None, guard=None):
     """Frame whose elements are the given subsets of an ambient carrier.
 
-    Elements are sorted ascending as bitmasks.  Meet is intersection.
-    Join is union when neither `join_closure` nor `join_within` is given;
-    else the closure of the union, or the element whose part inside the
-    mask `join_within` is the union of the two parts there (each element
-    must be fixed by that part, as a J-ideal is by its D-part).
+    Elements are sorted ascending as bitmasks.  Meet is intersection; join
+    is union when `join_closure` is None, else the closure of the union.
+    A caller that has the join table of the sorted elements already may
+    pass it as `join` instead.
     """
     elems = sorted(set(family))
     bound = config.frame_guard(guard)
@@ -460,15 +458,9 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join_wit
     except KeyError:
         raise InvalidStructure("family is not closed under intersection") from None
     try:
-        if join_closure is not None:
+        if join is None and join_closure is not None:
             join = [[index[join_closure(mi | mj)] for mj in elems] for mi in elems]
-        elif join_within is not None:
-            parts = [m & join_within for m in elems]
-            part_index = {d: i for i, d in enumerate(parts)}
-            if len(part_index) != n:
-                raise InvalidStructure("two elements share their part inside join_within")
-            join = [[part_index[di | dj] for dj in parts] for di in parts]
-        else:
+        elif join is None:
             join = [[index[mi | mj] for mj in elems] for mi in elems]
     except KeyError:
         raise InvalidStructure("family is not closed under join") from None

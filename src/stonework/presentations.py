@@ -151,17 +151,17 @@ def extension_is_unique(J, frame, f, guard=None):
 # free structures
 
 
-def _guard_subsets(k, what):
+def _guard_subsets(k, what, guard=None):
     """Refuse, before listing them, the 2^k subsets of k generators when
     they are more than the frame guard allows."""
-    bound = config.frame_guard()
+    bound = config.frame_guard(guard)
     if k >= max(bound, 0).bit_length():
         raise GuardExceeded(what, 2 ** k if k < 64 else f"2^{k}", bound)
 
 
-def free_meet_semilattice(k):
+def free_meet_semilattice(k, guard=None):
     """P_fin(A)^op for |A| = k: subsets under reverse inclusion."""
-    _guard_subsets(k, "free meet-semilattice")
+    _guard_subsets(k, "free meet-semilattice", guard)
     masks = range(1 << k)
     return inclusion_order(masks, [set_label(lambda a: f"g{a}", u) for u in masks]).op()
 
@@ -481,20 +481,28 @@ def parse_query(text, presentation):
     return _parse_relation(text.strip(), 1, gi)
 
 
+# the stack frames kept free, below the recursion limit, for the callers
+# of the term evaluators
+_TERM_STACK_MARGIN = 100
+
+
 def _parse_relation(text, line, gen_index):
-    """One relation.  Terms are checked and evaluated by recursion, once
-    per level, so terms nested past half the recursion limit are refused."""
+    """One relation.  Terms are checked and evaluated by recursion, so a
+    term whose evaluation takes more frames than the recursion limit less
+    the margin is refused."""
     try:
         rel = _Parser(text, line, gen_index).relation()
     except RecursionError:
         rel = None
-    if rel is None or max(map(_height, rel[1:])) > sys.getrecursionlimit() // 2:
+    if rel is None or max(map(_depth, rel[1:])) > sys.getrecursionlimit() - _TERM_STACK_MARGIN:
         raise ParseError("terms nested too deeply", line=line)
     return rel
 
 
-def _height(t):
-    """The number of levels of a term tree, counted without recursion."""
+def _depth(t):
+    """The stack frames that evaluating a term takes, counted without
+    recursion: one per level, two per join(...) level, whose evaluators
+    recurse through any()."""
     best, stack = 0, [(t, 1)]
     while stack:
         t, h = stack.pop()
@@ -502,7 +510,7 @@ def _height(t):
         if t[0] in ("meet", "join"):
             stack += [(t[1], h + 1), (t[2], h + 1)]
         elif t[0] == "Join":
-            stack += [(u, h + 1) for u in t[1]]
+            stack += [(u, h + 2) for u in t[1]]
     return best
 
 
@@ -538,13 +546,13 @@ def _horn_norm(t):
     raise InvalidStructure("horn terms admit only generators, 1 and meets")
 
 
-def present_horn(pres):
+def present_horn(pres, guard=None):
     """Meet-semilattice presented by implications: the closure system of
     the relation-driven attribute closure, ordered by reverse inclusion.
-    Each of the 2^k subsets of the generators is closed, so the frame
-    guard bounds 2^k."""
+    It is found by listing and closing all 2^k subsets of the generators,
+    so the frame guard bounds 2^k."""
     k = len(pres.generators)
-    _guard_subsets(k, "horn presentation")
+    _guard_subsets(k, "horn presentation", guard)
     rules = []
     for op, t1, t2 in pres.relations:
         a, b = _horn_norm(t1), _horn_norm(t2)
@@ -804,7 +812,7 @@ def present_lattice(pres, guard=None):
     semantic engine explicitly.
     """
     if pres.logic == "horn":
-        return present_horn(pres)
+        return present_horn(pres, guard=guard)
     return present_coherent(pres, guard=guard)
 
 

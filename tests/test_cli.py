@@ -26,6 +26,7 @@ from stonework.formats import (
 )
 from stonework.coverage import named_coverage
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
+from stonework.presentations import _TERM_STACK_MARGIN
 from stonework.spectra import alexandrov_space
 from stonework.zariski import ring_zmod
 
@@ -368,6 +369,26 @@ def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     _assert_canonical(captured.out)
     data = json.loads(captured.out)
     assert sorted(data) == ["error", "message"] and data["error"] == error
+
+
+def test_term_depth_limit_sits_below_the_evaluators_depth(capsys, tmp_path):
+    # a chain of n terms takes n frames to evaluate, a join(...) level two:
+    # terms at the limit are parsed and evaluated, one more is refused
+    limit = sys.getrecursionlimit() - _TERM_STACK_MARGIN
+    f = tmp_path / "deep.txt"
+    for joins, meets, code in [(0, limit, 0), (0, limit + 1, 1), (40, limit - 80, 0),
+                               (40, limit - 79, 1)]:
+        term = "join(" * joins + " & ".join(["a"] * meets) + ")" * joins
+        f.write_text(f"generators: a b\n{term} <= b\n")
+        for logic, extra in [("coherent", ["--semantic", "--query", f"{term} <= a"]),
+                             ("coherent", []), ("horn", [])]:
+            if logic == "horn" and joins:
+                continue
+            got, out = run(capsys, "present", "--logic", logic, str(f), *extra)
+            assert got == code, (joins, meets, logic, extra)
+            if code:
+                assert json.loads(out) == {"error": "ParseError",
+                                           "message": "terms nested too deeply (line 2)"}
 
 
 _KEYS = ["elements", "leq", "poset", "covers", "n", "add", "mul", "a", "b"]

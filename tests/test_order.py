@@ -108,19 +108,11 @@ class TestTableBuildersAgainstOracles:
                 assert fr.poset.up == tuple(pairwise_inclusion_up(fr.element_masks))
                 fr._check()
 
-    def test_join_within_and_its_errors(self):
-        # the 2-chain's down-sets, joined through their part in {0}:
-        # {}, {0}, {0,1} have parts 0, 1, 1, so two share a part
-        with pytest.raises(InvalidStructure, match="share their part"):
-            frame_of_down_sets([0b00, 0b01, 0b11], None, join_within=0b01)
+    def test_unclosed_families_are_refused(self):
         with pytest.raises(InvalidStructure, match="closed under intersection"):
             frame_of_down_sets([0b011, 0b110, 0b111], None)
         with pytest.raises(InvalidStructure, match="closed under join"):
             frame_of_down_sets([0b00, 0b01, 0b10], None)
-        with pytest.raises(InvalidStructure, match="closed under join"):
-            frame_of_down_sets([0b000, 0b001, 0b010], None, join_within=0b011)
-        fr = frame_of_down_sets([0b000, 0b001, 0b010, 0b111], None, join_within=0b011)
-        assert fr.join[1][2] == 3 and fr.meet[1][2] == 0
 
 
 class TestPosetQuotient:

@@ -322,6 +322,17 @@ class TestPresent:
         assert exc.value.what == "presented lattice"
         assert present_semantic(pres, guard=size).frame.n == size
 
+    def test_horn_and_mslat_guards_honour_an_explicit_guard(self):
+        # 3 generators give 8 subsets: a guard of 7 refuses, 8 admits
+        pres = parse_presentation("generators: a b c\na <= b\n", "horn")
+        with pytest.raises(GuardExceeded) as exc:
+            present_lattice(pres, guard=7)
+        assert exc.value.what == "horn presentation"
+        assert present_lattice(pres, guard=8).poset.n == 6
+        with pytest.raises(GuardExceeded):
+            free_meet_semilattice(3, guard=7)
+        assert free_meet_semilattice(3, guard=8).n == 8
+
     def test_congruence_vs_semantic_agree(self):
         texts = [
             "generators: a b\na = b\n",
