@@ -274,8 +274,11 @@ class FiniteFrame:
             self.index = {m: i for i, m in enumerate(self.element_masks)}
         if meet is None or join is None:
             meet, join = self._tables_from_order()
-        self.meet = tuple(map(tuple, meet))
-        self.join = tuple(map(tuple, join))
+        try:
+            self.meet = tuple(map(tuple, meet))
+            self.join = tuple(map(tuple, join))
+        except TypeError:
+            raise InvalidStructure(self._shape_message()) from None
         full = (1 << self.n) - 1
         bot = [i for i in range(self.n) if self.poset.up[i] == full]
         top = [i for i in range(self.n) if self.poset.dn[i] == full]
@@ -287,20 +290,66 @@ class FiniteFrame:
             self._check()
 
     def _tables_from_order(self):
-        p = self.poset
-        meet = [[None] * self.n for _ in range(self.n)]
-        join = [[None] * self.n for _ in range(self.n)]
+        """The meet of i and j is the element whose down-set is
+        dn[i] & dn[j], and their join the one whose up-set is up[i] & up[j];
+        a pair with no such element lacks a meet or a join."""
+        dn, up = self.poset.dn, self.poset.up
+        at_dn = {d: x for x, d in enumerate(dn)}
+        at_up = {u: x for x, u in enumerate(up)}
+        meet, join = [], []
         for i in range(self.n):
-            for j in range(self.n):
-                g = p.glb((1 << i) | (1 << j))
-                l = p.lub((1 << i) | (1 << j))
-                if g is None or l is None:
-                    raise InvalidStructure(f"elements {i},{j} lack a meet or join")
-                meet[i][j] = g
-                join[i][j] = l
+            meet_row = [at_dn.get(dn[i] & d) for d in dn]
+            join_row = [at_up.get(up[i] & u) for u in up]
+            if None in meet_row or None in join_row:
+                j = next(j for j in range(self.n) if meet_row[j] is None or join_row[j] is None)
+                raise InvalidStructure(f"elements {i},{j} lack a meet or join")
+            meet.append(meet_row)
+            join.append(join_row)
         return meet, join
 
+    def _shape_message(self):
+        return f"meet/join tables must be {self.n} x {self.n} with entries in 0..{self.n - 1}"
+
     def _check(self):
+        """Verify the tables in three O(n²) passes of mask comparisons.
+
+        1. Shape: each table has n rows of n element indices.
+        2. meet[i][j] is the meet of i and j iff dn[meet[i][j]] equals
+           dn[i] & dn[j], and join[i][j] is their join iff up[join[i][j]]
+           equals up[i] & up[j].  As dn and up are one-to-one on a poset,
+           both tables are then commutative.
+        3. Distributivity, by Birkhoff's theorem.  Let J be the
+           join-irreducibles and phi(a) = dn[a] & J.  Every element is the
+           join of the join-irreducibles below it, so phi is one-to-one,
+           and phi(a ∧ b) = phi(a) & phi(b) holds in any lattice.  If also
+           phi(a ∨ b) = phi(a) | phi(b) for all a and b, phi embeds the
+           lattice in the powerset of J, which is distributive.
+           Conversely, in a distributive lattice every j in J is
+           join-prime: j ≤ a ∨ b gives j = (j ∧ a) ∨ (j ∧ b), so j = j ∧ a
+           or j = j ∧ b, and phi preserves joins.
+
+        Once a pass fails, a cell-by-cell search names the first failing
+        cell, or the lexicographically first (a, b, c) where
+        a ∧ (b ∨ c) differs from (a ∧ b) ∨ (a ∧ c).
+        """
+        n, dn, up = self.n, self.poset.dn, self.poset.up
+        for table in (self.meet, self.join):
+            if len(table) != n or any(
+                len(row) != n or set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n
+                for row in table
+            ):
+                raise InvalidStructure(self._shape_message())
+        for i in range(n):
+            if ([dn[m] for m in self.meet[i]] != [dn[i] & d for d in dn]
+                    or [up[l] for l in self.join[i]] != [up[i] & u for u in up]):
+                self._raise_first_bad_cell()
+        irreducible = mask_of(self.join_irreducibles())
+        phi = [d & irreducible for d in dn]
+        for a in range(n):
+            if [phi[l] for l in self.join[a]] != [phi[a] | q for q in phi]:
+                self._raise_first_bad_triple()
+
+    def _raise_first_bad_cell(self):
         p = self.poset
         for i in range(self.n):
             for j in range(self.n):
@@ -314,11 +363,15 @@ class FiniteFrame:
                         raise InvalidStructure(f"{m} is not the meet of {i},{j}")
                     if p.leq(i, k) and p.leq(j, k) and not p.leq(l, k):
                         raise InvalidStructure(f"{l} is not the join of {i},{j}")
+        raise CheckFailed("the O(n²) pass rejected tables that the cell search accepts")
+
+    def _raise_first_bad_triple(self):
         for a in range(self.n):
             for b in range(self.n):
                 for c in range(self.n):
                     if self.meet[a][self.join[b][c]] != self.join[self.meet[a][b]][self.meet[a][c]]:
                         raise InvalidStructure(f"not distributive at ({a},{b},{c})")
+        raise CheckFailed("the O(n²) pass rejected a lattice that the triple search finds distributive")
 
     def leq(self, i, j):
         return self.poset.leq(i, j)
@@ -464,8 +517,11 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join=Non
             join = [[index[mi | mj] for mj in elems] for mi in elems]
     except KeyError:
         raise InvalidStructure("family is not closed under join") from None
-    # the lattice laws hold structurally for an intersection/closure
-    # family; the exhaustive verification is kept for small carriers
+    # meet as intersection and join as a closed union give a lattice by
+    # construction; the check guards the builders up to 64 elements.  Past
+    # that it stays off: though O(n²), it would be a large share of a big
+    # build, 0.33 s on the 1,024-element frame of the 10-antichain, whose
+    # whole `ideal-frame` job takes 0.55 s (2-core host, Python 3.11)
     fr = FiniteFrame(poset, meet, join, element_masks=elems, _checked=n > 64)
     return fr
 

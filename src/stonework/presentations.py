@@ -151,9 +151,15 @@ def extension_is_unique(J, frame, f, guard=None):
 # free structures
 
 
+def _nonnegative(k, what):
+    if k < 0:
+        raise InvalidStructure(f"{what} needs a generator count of at least 0, not {k}")
+
+
 def _guard_subsets(k, what, guard=None):
     """Refuse, before listing them, the 2^k subsets of k generators when
     they are more than the frame guard allows."""
+    _nonnegative(k, what)
     bound = config.frame_guard(guard)
     if k >= max(bound, 0).bit_length():
         raise GuardExceeded(what, 2 ** k if k < 64 else f"2^{k}", bound)
@@ -173,6 +179,7 @@ def free_frame_on_set(k, guard=None):
     Every upper set is a union of principal ones, so the carrier is the
     union closure of the 2^k principal upper sets.
     """
+    _nonnegative(k, "free frame on a set")
     if k > config.ELEMENTAL_GUARD:
         raise GuardExceeded("free frame on a set", k, config.ELEMENTAL_GUARD)
     n = 1 << k

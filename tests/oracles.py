@@ -5,11 +5,13 @@ submask scan for down-sets, generate-and-test for topologies, the
 fixpoint of the saturation rules, the fixpoint of the closure rule, and
 the 2**n scan for prime filters.  They are exponential and only meant
 for tiny carriers.  The rest are the direct forms of the table builders:
-bits by shifting, relations pair by pair, frame tables cell by cell.
+bits by shifting, relations pair by pair, frame tables cell by cell,
+and the cubic check that tables make a distributive lattice.
 """
 
 from stonework.bits import bits, mask_of, submasks
 from stonework.coverage import topology_failure
+from stonework.errors import InvalidStructure
 from stonework.spectra import is_j_prime_filter
 
 
@@ -187,3 +189,45 @@ def cell_frame_tables(elems, join_closure=None):
                 uni = join_closure(uni)
             join[i][j] = index[uni]
     return meet, join
+
+
+def cell_order_tables(p):
+    """(meet, join) tables of a lattice read off its order, one glb and
+    one lub search per cell; raises InvalidStructure at the first cell,
+    row by row, that lacks either."""
+    meet = [[None] * p.n for _ in range(p.n)]
+    join = [[None] * p.n for _ in range(p.n)]
+    for i in range(p.n):
+        for j in range(p.n):
+            g = p.glb((1 << i) | (1 << j))
+            l = p.lub((1 << i) | (1 << j))
+            if g is None or l is None:
+                raise InvalidStructure(f"elements {i},{j} lack a meet or join")
+            meet[i][j] = g
+            join[i][j] = l
+    return meet, join
+
+
+def cubic_frame_check(fr):
+    """The definition of a distributive lattice checked cell by cell:
+    commutative tables, every meet and join tested against every element
+    through the order, then distributivity on every triple.  Raises
+    InvalidStructure at the first failure."""
+    p = fr.poset
+    for i in range(fr.n):
+        for j in range(fr.n):
+            m, l = fr.meet[i][j], fr.join[i][j]
+            if m != fr.meet[j][i] or l != fr.join[j][i]:
+                raise InvalidStructure("meet/join tables not commutative")
+            if not (p.leq(m, i) and p.leq(m, j) and p.leq(i, l) and p.leq(j, l)):
+                raise InvalidStructure("meet/join tables disagree with the order")
+            for k in range(fr.n):
+                if p.leq(k, i) and p.leq(k, j) and not p.leq(k, m):
+                    raise InvalidStructure(f"{m} is not the meet of {i},{j}")
+                if p.leq(i, k) and p.leq(j, k) and not p.leq(l, k):
+                    raise InvalidStructure(f"{l} is not the join of {i},{j}")
+    for a in range(fr.n):
+        for b in range(fr.n):
+            for c in range(fr.n):
+                if fr.meet[a][fr.join[b][c]] != fr.join[fr.meet[a][b]][fr.meet[a][c]]:
+                    raise InvalidStructure(f"not distributive at ({a},{b},{c})")

@@ -25,6 +25,7 @@ from stonework.formats import (
     space_to_json,
 )
 from stonework.coverage import named_coverage
+from stonework.errors import InvalidStructure
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
 from stonework.presentations import _TERM_STACK_MARGIN
 from stonework.spectra import alexandrov_space
@@ -85,6 +86,16 @@ class TestRoundTrips:
         fr = lower_sets(preorder_from_pairs(2, []))
         fr2 = frame_from_json(frame_to_json(fr))
         assert fr2.meet == fr.meet and fr2.join == fr.join
+
+    @pytest.mark.parametrize("fault", [-1, 7, "x", 1.0, "ragged"])
+    def test_frame_with_bad_tables_refused(self, fault):
+        obj = frame_to_json(lower_sets(preorder_from_pairs(2, [])))
+        if fault == "ragged":
+            obj["join"][3].pop()
+        else:
+            obj["meet"][3][3] = fault
+        with pytest.raises(InvalidStructure, match=r"must be 4 x 4 with entries in 0\.\.3"):
+            frame_from_json(obj)
 
     def test_space(self):
         sp = alexandrov_space(preorder_from_pairs(2, [(0, 1)]))
@@ -350,11 +361,14 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
          ["present", "--logic", "coherent", "{f}"], "ParseError"),
         (b"generators: a\n" + b"a & " * 3000 + b"a <= a\n",
          ["present", "--logic", "horn", "{f}"], "ParseError"),
+        (None, ["free", "--what", "mslat", "--gens", "-1"], "InvalidStructure"),
+        (None, ["free", "--what", "frame-set", "--gens", "-1"], "InvalidStructure"),
     ],
     ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
          "ring-rows-short", "covers-list", "family-string", "site-number",
          "ring-not-utf8", "presentation-not-utf8", "ring-directory",
-         "presentation-nested-parentheses", "presentation-long-meet"],
+         "presentation-nested-parentheses", "presentation-long-meet",
+         "free-mslat-negative", "free-frame-set-negative"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     f = tmp_path / "input.json"

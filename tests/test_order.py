@@ -1,13 +1,16 @@
 """order-core: preorders, quotients, lower sets, flatness, iso search."""
 
+import random
+import re
 from operator import or_
 
 import pytest
 
 from stonework.bits import bits, mask_of, popcount
-from stonework.corpus import all_preorders, posets_upto
+from stonework.corpus import all_posets, all_preorders, posets_upto
 from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import (
+    FiniteFrame,
     MonotoneMap,
     Poset,
     Preorder,
@@ -30,6 +33,8 @@ from oracles import (
     brute_down_sets,
     brute_up_sets,
     cell_frame_tables,
+    cell_order_tables,
+    cubic_frame_check,
     pairwise_dn,
     pairwise_inclusion_up,
     shift_bits,
@@ -113,6 +118,107 @@ class TestTableBuildersAgainstOracles:
             frame_of_down_sets([0b011, 0b110, 0b111], None)
         with pytest.raises(InvalidStructure, match="closed under join"):
             frame_of_down_sets([0b00, 0b01, 0b10], None)
+
+
+def _rejection(check, fr):
+    """The message check(fr) raises, or None if it accepts."""
+    try:
+        check(fr)
+    except InvalidStructure as exc:
+        return str(exc)
+    return None
+
+
+def _assert_named_triple_breaks_the_law(fr, message):
+    found = re.fullmatch(r"not distributive at \((\d+),(\d+),(\d+)\)", message or "")
+    if found:
+        a, b, c = map(int, found.groups())
+        assert fr.meet[a][fr.join[b][c]] != fr.join[fr.meet[a][b]][fr.meet[a][c]], message
+
+
+def _corruptions(fr, rng):
+    """Unchecked copies of fr, each with one seeded fault in its meet or
+    its join table: a single cell, a mirrored pair of cells, or two rows
+    swapped."""
+    for which in (0, 1):
+        for fault in ("cell", "pair", "rows"):
+            tables = [list(map(list, fr.meet)), list(map(list, fr.join))]
+            t = tables[which]
+            i, j = rng.sample(range(fr.n), 2)
+            if fault == "rows":
+                t[i], t[j] = t[j], t[i]
+            else:
+                if fault == "cell":
+                    i = rng.randrange(fr.n)
+                t[i][j] = rng.choice([x for x in range(fr.n) if x != t[i][j]])
+                if fault == "pair":
+                    t[j][i] = t[i][j]
+            yield FiniteFrame(fr.poset, *tables, _checked=True)
+
+
+class TestFrameCheckAgainstOracle:
+    def test_lattices_up_to_six_elements(self):
+        verdicts = []
+        for p in posets_upto(6):
+            try:
+                fr = FiniteFrame(as_poset(p), _checked=True)
+            except InvalidStructure:
+                continue
+            verdict = _rejection(FiniteFrame._check, fr)
+            assert verdict == _rejection(cubic_frame_check, fr), p
+            _assert_named_triple_breaks_the_law(fr, verdict)
+            verdicts.append(verdict)
+        # 25 lattices with 1 to 6 elements, 13 of them distributive
+        assert len(verdicts) == 25 and verdicts.count(None) == 13
+        assert all(v is None or v.startswith("not distributive at") for v in verdicts)
+
+    def test_n5_and_m3_name_the_first_failing_triple(self):
+        n5 = preorder_from_pairs(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+        m3 = preorder_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        for p, triple in ((n5, "(2,1,3)"), (m3, "(1,2,3)")):
+            with pytest.raises(InvalidStructure) as exc:
+                FiniteFrame(as_poset(p))
+            assert str(exc.value) == f"not distributive at {triple}"
+
+    def test_set_frames_and_their_corruptions(self):
+        rng = random.Random(17)
+        rejected = 0
+        for p in posets_upto(5):
+            for fr in (lower_sets(p), upper_sets(p)):
+                assert _rejection(FiniteFrame._check, fr) is None
+                assert _rejection(cubic_frame_check, fr) is None
+                if fr.n < 2:
+                    continue
+                for bad in _corruptions(fr, rng):
+                    verdict = _rejection(FiniteFrame._check, bad)
+                    assert verdict is not None
+                    assert verdict == _rejection(cubic_frame_check, bad)
+                    _assert_named_triple_breaks_the_law(bad, verdict)
+                    rejected += 1
+        assert rejected == 6 * (2 * len(posets_upto(5)) - 2)
+
+    def test_check_of_a_64_element_frame_reads_no_leq(self, monkeypatch):
+        def refuse(self, i, j):
+            raise AssertionError("Preorder.leq called")
+
+        monkeypatch.setattr(Preorder, "leq", refuse)
+        fr = lower_sets(preorder_from_pairs(6, []))
+        assert fr.n == 64
+        fr._check()
+
+    def test_order_tables_match_cell_loop(self):
+        for k in range(1, 6):
+            for p in all_posets(k):
+                try:
+                    want = tuple(tuple(map(tuple, t)) for t in cell_order_tables(p))
+                except InvalidStructure as exc:
+                    want = str(exc)
+                try:
+                    fr = FiniteFrame(p, _checked=True)
+                    got = (fr.meet, fr.join)
+                except InvalidStructure as exc:
+                    got = str(exc)
+                assert got == want, p
 
 
 class TestPosetQuotient:
