@@ -3,7 +3,7 @@ recovery of a structure from its ideal frame, and round-trip checkers
 for the named dualities.
 """
 
-from .bits import bits, mask_of, submasks
+from .bits import bits, mask_of
 from .errors import CheckFailed, InvalidStructure
 from .coverage import (
     ideal_frame,
@@ -222,110 +222,24 @@ def supercompact_elements(fr):
     """Elements whose every covering family contains them.
 
     In a finite lattice the worst covering family is everything strictly
-    below, so supercompact reduces to join-irreducible; the brute-force
-    twin below cross-checks this on small frames.
+    below, so supercompact reduces to join-irreducible; a brute-force
+    oracle in the tests cross-checks this on small frames.
     """
     return fr.join_irreducibles()
 
 
-def supercompact_elements_brute(fr):
-    """Oracle: test every covering family literally."""
-    out = []
-    for a in range(fr.n):
-        if a == fr.bot:
-            # the empty family covers bot without containing it
-            continue
-        ok = True
-        for fam in submasks(fr.poset.dn[a] & ~(1 << a)):
-            if fr.join_set(fam) == a:
-                ok = False
-                break
-        if ok:
-            out.append(a)
-    return out
-
-
-def _antichain_covers(fr, l):
-    """Antichain families with join l; refinement-closed, so they decide
-    C-compactness for every covering family."""
-    below = [d for d in bits(fr.poset.dn[l])]
-    out = []
-
-    def rec(k, chosen, joined):
-        if joined == l:
-            out.append(tuple(chosen))
-        for idx in range(k, len(below)):
-            d = below[idx]
-            if any(fr.leq(d, e) or fr.leq(e, d) for e in chosen):
-                continue
-            rec(idx + 1, chosen + [d], fr.join[joined][d])
-
-    rec(0, [], fr.bot)
-    return out
-
-
-def _has_refinement(fr, l, family, inv):
-    """Whether some family refining `family` with the same join satisfies inv."""
-    t = inv.tag
-    fam = tuple(family)
-    if inv.holds(fr, fam):
-        return True
-    if t == "All" or t == "Finite":
-        return True
-    if t in ("Singleton", "Directed"):
-        # a finite directed family contains its own join, so both reduce
-        # to some member lying above l
-        return any(fr.leq(l, a) for a in fam)
-    if t == "CardinalityLT":
-        # members of a refinement may be replaced by the family elements
-        # above them, so subfamilies suffice
-        k = inv.param
-        return _has_small_subcover(fr, l, fam, k - 1)
-    if t in ("AtomicFinite", "Atomic"):
-        atoms = [a for a in fr.atoms() if any(fr.leq(a, x) for x in fam)]
-        return fr.join_set(mask_of(atoms)) == l
-    if t in ("SupercompactFinite", "Supercompact"):
-        scs = [a for a in supercompact_elements(fr) if any(fr.leq(a, x) for x in fam)]
-        return fr.join_set(mask_of(scs)) == l
-    if t in ("FiniteDisjoint", "Disjoint"):
-        cands = sorted(
-            set(
-                b
-                for b in range(fr.n)
-                if b != fr.bot and any(fr.leq(b, x) for x in fam)
-            )
-        )
-
-        def rec(k, chosen, joined):
-            if joined == l:
-                return True
-            for idx in range(k, len(cands)):
-                b = cands[idx]
-                if any(fr.meet[b][c] != fr.bot for c in chosen):
-                    continue
-                if rec(idx + 1, chosen + [b], fr.join[joined][b]):
-                    return True
-            return False
-
-        return rec(0, [], fr.bot)
-    raise InvalidStructure(f"unhandled tag {t}")
-
-
-def _has_small_subcover(fr, l, fam, size):
-    from itertools import combinations
-
-    for r in range(0, size + 1):
-        for combo in combinations(sorted(set(fam)), r):
-            if fr.join_set(mask_of(combo)) == l:
-                return True
-    return False
-
-
 def is_c_compact(fr, l, inv):
-    for fam in _antichain_covers(fr, l):
-        if not _has_refinement(fr, l, fam, inv):
-            return False
-    return True
+    """Whether every cover of l has a refinement with join l satisfying inv.
+
+    A finite frame is distributive, so its join-irreducibles are
+    join-prime.  Hence M(l), the maximal join-irreducibles below l, is a
+    cover of l that refines every cover of l, and l is C-compact iff some
+    refinement of M(l) with join l satisfies inv.  Such a refinement
+    contains M(l) and adds only elements below its members, and each
+    built-in invariant that holds on it holds on M(l) too: M(l) is the one
+    cover to test."""
+    below = fr.poset.dn[l] & mask_of(fr.join_irreducibles())
+    return inv.holds(fr, bits(fr.poset.maximal_in(below)))
 
 
 def c_compact_elements(fr, inv):
@@ -353,7 +267,9 @@ def multicomposition_check(fr, inv, family):
 
 
 def irreducible_elements(fr, kind):
-    """Elements satisfying the literal definition of the given kind."""
+    """Elements of the given kind: atoms and join-irreducibles by their
+    definitions, indecomposable and directedly irreducible elements by the
+    finite rules below (the tests keep the literal scans as oracles)."""
     if kind == "atoms":
         return fr.atoms()
     if kind == "join-irreducible":
@@ -376,36 +292,20 @@ def irreducible_elements(fr, kind):
     if kind == "supercompact":
         return supercompact_elements(fr)
     if kind == "indecomposable":
+        # a pairwise disjoint family with join a that omits a has members
+        # b < a; by distributivity, b and the join of the rest are a
+        # disjoint pair below a with join a
         out = []
         for a in range(fr.n):
-            ok = True
-            for fam in _antichain_covers(fr, a):
-                if all(
-                    fr.meet[x][y] == fr.bot for i, x in enumerate(fam) for y in fam[i + 1:]
-                ):
-                    if a not in fam:
-                        ok = False
-                        break
-            if ok:
+            below = list(bits(fr.poset.dn[a] & ~(1 << a)))
+            if a != fr.bot and not any(
+                fr.join[b][c] == a and fr.meet[b][c] == fr.bot for b in below for c in below
+            ):
                 out.append(a)
         return out
     if kind == "directedly-irreducible":
-        out = []
-        for d in range(fr.n):
-            ok = True
-            for fam_mask in submasks(fr.poset.dn[d]):
-                fam = tuple(bits(fam_mask))
-                if not fam:
-                    continue
-                directed = all(
-                    any(fr.leq(a, c) and fr.leq(b, c) for c in fam) for a in fam for b in fam
-                )
-                if directed and fr.join_set(fam_mask) == d and d not in fam:
-                    ok = False
-                    break
-            if ok:
-                out.append(d)
-        return out
+        # a finite directed family contains its own join
+        return list(range(fr.n))
     raise InvalidStructure(f"unknown irreducibility kind {kind!r}")
 
 
@@ -413,17 +313,14 @@ def irreducible_elements(fr, kind):
 # named duality round trips
 
 
-def check_duality(kind, x, guard=None, fast=False):
+def check_duality(kind, x, guard=None):
     """Forward functor, inverse functor, and an explicit round-trip witness.
 
     Returns a report dict with the two objects and the witness; raises
     CheckFailed if the round trip is not an isomorphism (never expected).
-    With fast=True the supercompact recovery uses the polynomial
-    join-irreducible characterisation instead of enumerating covers,
-    which admits larger randomized instances.
     """
     if kind == "alexandrov":
-        return _check_alexandrov(x, guard, fast)
+        return _check_alexandrov(x, guard)
     if kind == "stone":
         return _check_stone(x, guard)
     if kind == "birkhoff":
@@ -431,7 +328,7 @@ def check_duality(kind, x, guard=None, fast=False):
     if kind in ("lindenbaum", "atomdlat"):
         return _check_atomic(kind, x)
     if kind == "mslat":
-        return _check_mslat(x, guard, fast)
+        return _check_mslat(x, guard)
     if kind == "mslatstar":
         return _check_mslatstar(x)
     if kind == "disjunctive":
@@ -467,15 +364,11 @@ def _report(kind, forward, recovered, witness, ok, extra=None):
     return rep
 
 
-def _check_alexandrov(p, guard, fast=False):
+def _check_alexandrov(p, guard):
     """Pos ~ AlexLoc: upper sets, recovered as (supercompacts)^op."""
     p = as_poset(p)
     fr = upper_sets(p, guard=guard)
-    if fast:
-        elems = supercompact_elements(fr)
-        sc = fr.poset.restrict(elems)
-    else:
-        sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
+    sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
     recovered = sc.op()
     # witness: x maps to its principal upper set
     pos = {e: i for i, e in enumerate(elems)}
@@ -546,16 +439,12 @@ def _check_atomic(kind, fr):
     return _report(kind, atoms, power, psi, _witness_ok(fr.poset, power.poset, psi))
 
 
-def _check_mslat(m, guard, fast=False):
+def _check_mslat(m, guard):
     """MSLat ~ SCLoc: lower sets, recovered as supercompacts."""
     m = as_poset(m)
     J = trivial_coverage(m)
     fr = ideal_frame(J, guard=guard)
-    if fast:
-        elems = supercompact_elements(fr)
-        sc = fr.poset.restrict(elems)
-    else:
-        sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
+    sc, elems = c_compact_elements(fr, CompactnessInvariant("Singleton"))
     pos = {e: i for i, e in enumerate(elems)}
     witness = tuple(pos[fr.index[m.dn[c]]] for c in range(m.n))
     return _report("mslat", fr, sc, witness, _witness_ok(m, sc, witness))

@@ -269,6 +269,7 @@ class FiniteFrame:
         self.n = poset.n
         self.element_masks = None
         self.index = None
+        self._join_irreducibles = None
         if element_masks is not None:
             self.element_masks = tuple(element_masks)
             self.index = {m: i for i, m in enumerate(self.element_masks)}
@@ -404,13 +405,12 @@ class FiniteFrame:
     def join_irreducibles(self):
         """Elements that are not the join of the elements strictly below them.
 
-        Excludes the bottom (the empty join)."""
-        out = []
-        for d in range(self.n):
-            below = self.poset.dn[d] & ~(1 << d)
-            if self.join_set(below) != d:
-                out.append(d)
-        return out
+        Excludes the bottom (the empty join).  Found once per frame."""
+        if self._join_irreducibles is None:
+            self._join_irreducibles = tuple(
+                d for d in range(self.n) if self.join_set(self.poset.dn[d] & ~(1 << d)) != d
+            )
+        return list(self._join_irreducibles)
 
     def complement_of(self, a):
         """The complement of a, or None."""

@@ -132,36 +132,6 @@ def completely_prime_filters(fr):
     return [fr.poset.up[m] for m in fr.join_irreducibles()]
 
 
-def completely_prime_filters_brute(fr):
-    """Oracle: test every subset against the literal clauses."""
-    out = []
-    for m in range(1 << fr.n):
-        if m == 0:
-            continue
-        ok = True
-        for a in bits(m):
-            if fr.poset.up[a] & ~m:
-                ok = False
-        if not ok:
-            continue
-        if (m >> fr.top) & 1 == 0:
-            continue
-        for a in bits(m):
-            for b in bits(m):
-                if not (m >> fr.meet[a][b]) & 1:
-                    ok = False
-        if not ok:
-            continue
-        for s in range(1 << fr.n):
-            j = fr.join_set(s)
-            if (m >> j) & 1 and not any((m >> x) & 1 for x in bits(s)):
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return sorted(out)
-
-
 def filter_bijection(J, guard=None):
     """The bijection between completely prime filters on Id_J(C) and
     J-prime filters on C; returns (pairs, frame, filters) and aborts with

@@ -318,50 +318,6 @@ def s_monoid(ring):
     return s.poset, s.pi, s
 
 
-def s_congruence_oracle(ring):
-    """Independent description of the congruence: the transitive closure
-    of the relation 'a and b are both of the form c^k * d'."""
-    n = ring.n
-    rel = [[False] * n for _ in range(n)]
-    for c in range(n):
-        powers = []
-        seen = set()
-        p = ring.one
-        while True:
-            p = ring.mul[p][c]
-            if p in seen:
-                break
-            seen.add(p)
-            powers.append(p)
-        for d in range(n):
-            forms = {ring.mul[p][d] for p in powers}
-            for a in forms:
-                for b in forms:
-                    rel[a][b] = True
-    for a in range(n):
-        rel[a][a] = True
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if not rel[a][b]:
-                    continue
-                for c in range(n):
-                    if rel[b][c] and not rel[a][c]:
-                        rel[a][c] = True
-                        changed = True
-    classes = []
-    seenm = 0
-    for a in range(n):
-        if (seenm >> a) & 1:
-            continue
-        block = mask_of(b for b in range(n) if rel[a][b])
-        classes.append(block)
-        seenm |= block
-    return sorted(classes)
-
-
 # ---------------------------------------------------------------------------
 # the coverage and its arithmetic description
 

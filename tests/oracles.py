@@ -2,15 +2,21 @@
 
 Each function here is the literal definition, searched exhaustively: the
 submask scan for down-sets, generate-and-test for topologies, the
-fixpoint of the saturation rules, the fixpoint of the closure rule, and
-the 2**n scan for prime filters.  They are exponential and only meant
-for tiny carriers.  The rest are the direct forms of the table builders:
-bits by shifting, relations pair by pair, frame tables cell by cell,
-and the cubic check that tables make a distributive lattice.
+fixpoint of the saturation rules, the fixpoint of the closure rule, the
+2**n scans for prime filters, completely prime filters and supercompact
+elements, the antichain-cover search for C-compact, indecomposable and
+directedly irreducible elements, and the congruence of S(A) as a
+transitive closure.  They are exponential and only meant for tiny
+carriers.  The rest are the direct forms of the table builders: bits by
+shifting, relations pair by pair, frame tables cell by cell, and the
+cubic check that tables make a distributive lattice.
 """
+
+from itertools import combinations
 
 from stonework.bits import bits, mask_of, submasks
 from stonework.coverage import topology_failure
+from stonework.duality import supercompact_elements
 from stonework.errors import InvalidStructure
 from stonework.spectra import is_j_prime_filter
 
@@ -231,3 +237,214 @@ def cubic_frame_check(fr):
             for c in range(fr.n):
                 if fr.meet[a][fr.join[b][c]] != fr.join[fr.meet[a][b]][fr.meet[a][c]]:
                     raise InvalidStructure(f"not distributive at ({a},{b},{c})")
+
+
+def brute_completely_prime_filters(fr):
+    """Every subset of a finite frame that is a completely prime filter:
+    a nonempty up-set with the top, closed under meets, that meets every
+    family whose join it holds; ascending."""
+    out = []
+    for m in range(1 << fr.n):
+        if m == 0:
+            continue
+        ok = True
+        for a in bits(m):
+            if fr.poset.up[a] & ~m:
+                ok = False
+        if not ok:
+            continue
+        if (m >> fr.top) & 1 == 0:
+            continue
+        for a in bits(m):
+            for b in bits(m):
+                if not (m >> fr.meet[a][b]) & 1:
+                    ok = False
+        if not ok:
+            continue
+        for s in range(1 << fr.n):
+            j = fr.join_set(s)
+            if (m >> j) & 1 and not any((m >> x) & 1 for x in bits(s)):
+                ok = False
+                break
+        if ok:
+            out.append(m)
+    return sorted(out)
+
+
+def brute_supercompact_elements(fr):
+    """Elements that every family with their join contains, testing every
+    family below them."""
+    out = []
+    for a in range(fr.n):
+        if a == fr.bot:
+            # the empty family covers bot without containing it
+            continue
+        ok = True
+        for fam in submasks(fr.poset.dn[a] & ~(1 << a)):
+            if fr.join_set(fam) == a:
+                ok = False
+                break
+        if ok:
+            out.append(a)
+    return out
+
+
+def antichain_covers(fr, l):
+    """Antichain families with join l; refinement-closed, so they decide
+    C-compactness for every covering family."""
+    below = [d for d in bits(fr.poset.dn[l])]
+    out = []
+
+    def rec(k, chosen, joined):
+        if joined == l:
+            out.append(tuple(chosen))
+        for idx in range(k, len(below)):
+            d = below[idx]
+            if any(fr.leq(d, e) or fr.leq(e, d) for e in chosen):
+                continue
+            rec(idx + 1, chosen + [d], fr.join[joined][d])
+
+    rec(0, [], fr.bot)
+    return out
+
+
+def has_refinement(fr, l, family, inv):
+    """Whether some family refining `family` with the same join satisfies inv."""
+    t = inv.tag
+    fam = tuple(family)
+    if inv.holds(fr, fam):
+        return True
+    if t == "All" or t == "Finite":
+        return True
+    if t in ("Singleton", "Directed"):
+        # a finite directed family contains its own join, so both reduce
+        # to some member lying above l
+        return any(fr.leq(l, a) for a in fam)
+    if t == "CardinalityLT":
+        # members of a refinement may be replaced by the family elements
+        # above them, so subfamilies suffice
+        return has_small_subcover(fr, l, fam, inv.param - 1)
+    if t in ("AtomicFinite", "Atomic"):
+        atoms = [a for a in fr.atoms() if any(fr.leq(a, x) for x in fam)]
+        return fr.join_set(mask_of(atoms)) == l
+    if t in ("SupercompactFinite", "Supercompact"):
+        scs = [a for a in supercompact_elements(fr) if any(fr.leq(a, x) for x in fam)]
+        return fr.join_set(mask_of(scs)) == l
+    if t in ("FiniteDisjoint", "Disjoint"):
+        cands = sorted(
+            set(
+                b
+                for b in range(fr.n)
+                if b != fr.bot and any(fr.leq(b, x) for x in fam)
+            )
+        )
+
+        def rec(k, chosen, joined):
+            if joined == l:
+                return True
+            for idx in range(k, len(cands)):
+                b = cands[idx]
+                if any(fr.meet[b][c] != fr.bot for c in chosen):
+                    continue
+                if rec(idx + 1, chosen + [b], fr.join[joined][b]):
+                    return True
+            return False
+
+        return rec(0, [], fr.bot)
+    raise InvalidStructure(f"unhandled tag {t}")
+
+
+def has_small_subcover(fr, l, fam, size):
+    for r in range(0, size + 1):
+        for combo in combinations(sorted(set(fam)), r):
+            if fr.join_set(mask_of(combo)) == l:
+                return True
+    return False
+
+
+def brute_is_c_compact(fr, l, inv):
+    """Whether every antichain with join l has a refinement with join l
+    satisfying inv."""
+    return all(has_refinement(fr, l, fam, inv) for fam in antichain_covers(fr, l))
+
+
+def brute_indecomposables(fr):
+    """Elements that every pairwise disjoint antichain with their join
+    contains."""
+    out = []
+    for a in range(fr.n):
+        ok = True
+        for fam in antichain_covers(fr, a):
+            if all(
+                fr.meet[x][y] == fr.bot for i, x in enumerate(fam) for y in fam[i + 1:]
+            ):
+                if a not in fam:
+                    ok = False
+                    break
+        if ok:
+            out.append(a)
+    return out
+
+
+def brute_directedly_irreducible(fr):
+    """Elements that every nonempty directed family with their join
+    contains, testing every family below them."""
+    up = fr.poset.up
+    out = []
+    for d in range(fr.n):
+        ok = True
+        for fam_mask in submasks(fr.poset.dn[d] & ~(1 << d)):
+            if not fam_mask or fr.join_set(fam_mask) != d:
+                continue
+            fam = tuple(bits(fam_mask))
+            if all(up[a] & up[b] & fam_mask for a in fam for b in fam):
+                ok = False
+                break
+        if ok:
+            out.append(d)
+    return out
+
+
+def brute_s_congruence(ring):
+    """Classes of the congruence of S(A) as masks, ascending: the
+    transitive closure of the relation 'a and b are both of the form
+    c^k * d'."""
+    n = ring.n
+    rel = [[False] * n for _ in range(n)]
+    for c in range(n):
+        powers = []
+        seen = set()
+        p = ring.one
+        while True:
+            p = ring.mul[p][c]
+            if p in seen:
+                break
+            seen.add(p)
+            powers.append(p)
+        for d in range(n):
+            forms = {ring.mul[p][d] for p in powers}
+            for a in forms:
+                for b in forms:
+                    rel[a][b] = True
+    for a in range(n):
+        rel[a][a] = True
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if not rel[a][b]:
+                    continue
+                for c in range(n):
+                    if rel[b][c] and not rel[a][c]:
+                        rel[a][c] = True
+                        changed = True
+    classes = []
+    seenm = 0
+    for a in range(n):
+        if (seenm >> a) & 1:
+            continue
+        block = mask_of(b for b in range(n) if rel[a][b])
+        classes.append(block)
+        seenm |= block
+    return sorted(classes)

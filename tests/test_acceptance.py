@@ -136,7 +136,7 @@ def test_criterion_3_principal_equals_c_compact():
     for clause, kind, param, tag, tagparam in CLAUSES:
         inv = CompactnessInvariant(tag, tagparam)
         n_structs = 0
-        for p in posets_upto(4):
+        for p in posets_upto(5):
             try:
                 cov = named_coverage(p, kind, param)
             except InvalidStructure:

@@ -128,6 +128,21 @@ class TestCommands:
         data = json.loads(out)
         assert data["result"]["round_trip_ok"]
 
+    @pytest.mark.parametrize("kind", ["alexandrov", "mslat"])
+    def test_dual_supercompacts_of_boolean16(self, capsys, tmp_path, kind):
+        # the up-set and lower-set frames have 168 elements each, too wide
+        # to list every antichain cover of an element
+        f = tmp_path / "b16.json"
+        f.write_text(json.dumps({"elements": [str(i) for i in range(16)],
+                                 "leq": [[i, j] for i in range(16) for j in range(16)
+                                         if i != j and i & ~j == 0]}))
+        code, out = run(capsys, "dual", "--kind", kind, str(f))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["round_trip_ok"]
+        assert sorted(result["witness"]) == list(range(16))
+        assert result["recovered"].startswith("Poset(16,")
+
     def test_space_and_filters(self, capsys, boolean4_file):
         code, out = run(capsys, "space", "--site", boolean4_file, "--coverage", "coherent")
         assert code == 0

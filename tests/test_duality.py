@@ -3,7 +3,7 @@
 import pytest
 
 from stonework.bits import bits, mask_of
-from stonework.corpus import meet_semilattices_upto, posets_upto
+from stonework.corpus import distributive_lattices_upto, meet_semilattices_upto, posets_upto
 from stonework.coverage import (
     named_coverage,
     principal_j_ideal,
@@ -11,6 +11,7 @@ from stonework.coverage import (
     trivial_coverage,
 )
 from stonework.duality import (
+    INVARIANT_TAGS,
     CompactnessInvariant,
     a_on_map,
     b_on_map,
@@ -30,6 +31,13 @@ from stonework.order import (
     as_poset,
     lower_sets,
     preorder_from_pairs,
+    upper_sets,
+)
+
+from oracles import (
+    brute_directedly_irreducible,
+    brute_indecomposables,
+    brute_is_c_compact,
 )
 
 
@@ -142,7 +150,36 @@ def _all_monotone_assignments(a, b):
     return outs
 
 
+def oracle_frames():
+    """The up-set and down-set frames of every poset with at most 4
+    elements, and the distributive lattices with at most 7."""
+    frames = [f(p) for p in posets_upto(4) for f in (lower_sets, upper_sets)]
+    return frames + distributive_lattices_upto(7)
+
+
+EVERY_INVARIANT = [
+    CompactnessInvariant(tag, k)
+    for tag in INVARIANT_TAGS
+    for k in ((1, 2, 3) if tag == "CardinalityLT" else (None,))
+]
+
+
 class TestCompactness:
+    def test_canonical_cover_matches_antichain_search(self):
+        assert len(EVERY_INVARIANT) == 13
+        cases = 0
+        for fr in oracle_frames():
+            for inv in EVERY_INVARIANT:
+                for l in range(fr.n):
+                    assert is_c_compact(fr, l, inv) == brute_is_c_compact(fr, l, inv), (fr, inv, l)
+                    cases += 1
+        assert cases == 5993
+
+    def test_irreducible_rules_match_literal_scans(self):
+        for fr in oracle_frames():
+            assert irreducible_elements(fr, "indecomposable") == brute_indecomposables(fr)
+            assert irreducible_elements(fr, "directedly-irreducible") == brute_directedly_irreducible(fr)
+
     def test_finite_everywhere(self):
         fr = lower_sets(boolean4_poset())
         pos, elems = c_compact_elements(fr, CompactnessInvariant("Finite"))

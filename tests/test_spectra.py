@@ -11,7 +11,6 @@ from stonework.spectra import (
     TopSpace,
     alexandrov_space,
     completely_prime_filters,
-    completely_prime_filters_brute,
     elemental_space,
     filter_bijection,
     gamma_subterminal_space,
@@ -24,7 +23,7 @@ from stonework.spectra import (
     subterminal_space,
 )
 
-from oracles import brute_j_prime_filters
+from oracles import brute_completely_prime_filters, brute_j_prime_filters
 
 
 def boolean4():
@@ -105,7 +104,7 @@ class TestCompletelyPrime:
     def test_matches_brute_force(self):
         for p in posets_upto(4):
             fr = lower_sets(p)
-            assert sorted(completely_prime_filters(fr)) == completely_prime_filters_brute(fr)
+            assert sorted(completely_prime_filters(fr)) == brute_completely_prime_filters(fr)
 
 
 class TestFilterBijection:
