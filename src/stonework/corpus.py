@@ -168,15 +168,14 @@ def distributive_lattices_upto(size):
     """All finite bounded distributive lattices with at most `size` elements.
 
     By Birkhoff these are exactly the lower-set frames of finite posets;
-    a poset with k elements has at least k+1 lower sets, so skeletons up
-    to size-1 elements suffice.
+    a poset with k elements has at least k+1 lower sets, with equality
+    only for the k-chain, so skeletons up to size-2 elements and the
+    (size-1)-chain suffice.
     """
-    out = []
-    for p in posets_upto(max(0, size - 1)):
-        if 2 ** p.n <= 2 ** size:
-            fr = lower_sets(p)
-            if fr.n <= size:
-                out.append(fr)
+    if size < 1:
+        return []
+    out = [fr for fr in map(lower_sets, posets_upto(size - 2)) if fr.n <= size]
+    out.append(lower_sets(Poset(size - 1, [(1 << (i + 1)) - 1 for i in range(size - 1)])))
     return out
 
 

@@ -6,11 +6,10 @@ join-semilattice; a small text DSL for lattice presentations in the
 horn / coherent / geometric fragments; reflection units.
 """
 
-import sys
 from itertools import product
 from operator import and_, or_
 
-from .bits import bits, mask_of
+from .bits import bits, mask_of, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure, ParseError
 from . import config
 from .coverage import (
@@ -322,14 +321,23 @@ def jsl_space(p):
 # the presentation DSL
 
 
+# A term is a tuple of ints in postfix order: a generator is its index and
+# these negative codes are the constants and the binary operations.
+# join(t1, ..., tn) is t1 ... tn followed by n-1 JOINs; join() is ZERO.
+ONE, ZERO, MEET, JOIN = -1, -2, -3, -4
+
 _TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
+_HORN_TERMS = "horn terms admit only generators, 1 and meets"
 
 
 class Presentation:
     """Generators plus relations between closed terms over 0,1,&,| .
 
     logic: horn (no joins, no 0), coherent, or geometric (coherent with
-    explicit finite join lists spelled join(...)).
+    explicit finite join lists spelled join(...)).  A relation is
+    (op, t1, t2), op "<=" or "=", with each term a postfix code (see
+    ONE, ZERO, MEET, JOIN): over generators x, y the term x & (y | 1) is
+    (0, 1, ONE, JOIN, MEET).
     """
 
     def __init__(self, generators, relations, logic):
@@ -340,32 +348,51 @@ class Presentation:
             raise InvalidStructure("duplicate generator names")
         self.relations = tuple(relations)
         self.logic = logic
-        for op, t1, t2 in relations:
-            for t in (t1, t2):
-                _check_term(t, len(self.generators), logic)
+        k = len(self.generators)
+        horn = "horn relations admit no joins and no 0" if logic == "horn" else None
+        for op, t1, t2 in self.relations:
+            _support(t1, k, horn)
+            _support(t2, k, horn)
 
 
-def _check_term(t, ngens, logic):
-    tag = t[0]
-    if tag == "gen":
-        if not 0 <= t[1] < ngens:
-            raise InvalidStructure("term mentions an undeclared generator")
-    elif tag in ("zero", "join", "Join"):
-        if logic == "horn":
-            raise InvalidStructure("horn relations admit no joins and no 0")
-        if tag == "join":
-            _check_term(t[1], ngens, logic)
-            _check_term(t[2], ngens, logic)
-        elif tag == "Join":
-            for s in t[1]:
-                _check_term(s, ngens, logic)
-    elif tag == "one":
-        pass
-    elif tag == "meet":
-        _check_term(t[1], ngens, logic)
-        _check_term(t[2], ngens, logic)
-    else:
-        raise InvalidStructure(f"unknown term node {tag!r}")
+def _support(code, ngens, horn=None):
+    """The mask of the generators a term code mentions, once the code is
+    checked: generators below `ngens`, two terms under each operation, one
+    term in all.  Given a message, `horn` refuses 0 and joins."""
+    mask = height = 0
+    for c in code:
+        if type(c) is int and 0 <= c < ngens:
+            mask |= 1 << c
+        elif c not in (ONE, ZERO, MEET, JOIN):
+            raise InvalidStructure(f"term code {c!r} is neither an operation nor a declared generator")
+        elif horn and (c == ZERO or c == JOIN):
+            raise InvalidStructure(horn)
+        height += 1 if c >= ZERO else -1
+        if height < 1:
+            break
+    if height != 1:
+        raise InvalidStructure("term code is not one term")
+    return mask
+
+
+def _value(code, gens, top):
+    """A term code evaluated in the lattice of ints below `top` under & and
+    |, generator i valued gens[i].  With truth tables, extents or columns
+    of assignments as values, one call evaluates the term at every point."""
+    stack = []
+    push = stack.append
+    for c in code:
+        if c >= 0:
+            push(gens[c])
+        elif c == MEET:
+            b = stack.pop()
+            stack[-1] &= b
+        elif c == JOIN:
+            b = stack.pop()
+            stack[-1] |= b
+        else:
+            push(top if c == ONE else 0)
+    return stack[-1]
 
 
 class _Parser:
@@ -387,61 +414,67 @@ class _Parser:
         return self.text[self.i] if self.i < len(self.text) else ""
 
     def term(self):
-        t = self.join_term()
-        return t
-
-    def join_term(self):
-        t = self.meet_term()
-        while self.peek() == "|":
-            self.i += 1
-            t = ("join", t, self.meet_term())
-        return t
-
-    def meet_term(self):
-        t = self.atom()
-        while self.peek() == "&":
-            self.i += 1
-            t = ("meet", t, self.atom())
-        return t
-
-    def atom(self):
-        c = self.peek()
-        if c == "(":
-            self.i += 1
-            t = self.join_term()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.i += 1
-            return t
-        if c == "0":
-            self.i += 1
-            return ("zero",)
-        if c == "1":
-            self.i += 1
-            return ("one",)
-        if c in _TOKEN_CHARS:
-            start = self.i
-            while self.i < len(self.text) and self.text[self.i] in _TOKEN_CHARS:
+        """One term as postfix code, by shunting-yard: '&' binds tighter
+        than '|' and both group to the left.  `groups` holds, for the whole
+        term and each open '(' or join( argument, its kind, its operators
+        still waiting for a right operand, and its argument number."""
+        out = []
+        groups = [(None, [], 0)]
+        while True:
+            # an operand, or the opening of a group
+            c = self.peek()
+            if c == "(":
                 self.i += 1
-            name = self.text[start:self.i]
-            if name == "join":
-                if self.peek() != "(":
-                    self.error("join(...) needs parentheses")
+                groups.append(("(", [], 0))
+                continue
+            if c == "0" or c == "1":
                 self.i += 1
-                args = []
-                if self.peek() != ")":
-                    args.append(self.join_term())
-                    while self.peek() == ",":
+                out.append(ZERO if c == "0" else ONE)
+            elif c in _TOKEN_CHARS:
+                start = self.i
+                while self.i < len(self.text) and self.text[self.i] in _TOKEN_CHARS:
+                    self.i += 1
+                name = self.text[start:self.i]
+                if name == "join":
+                    if self.peek() != "(":
+                        self.error("join(...) needs parentheses")
+                    self.i += 1
+                    if self.peek() != ")":
+                        groups.append(("join", [], 0))
+                        continue
+                    self.i += 1
+                    out.append(ZERO)
+                elif name not in self.gens:
+                    self.error(f"unknown generator {name!r}")
+                else:
+                    out.append(self.gens[name])
+            else:
+                self.error("expected a term")
+            # after an operand: an operator, or the end of groups
+            while True:
+                c = self.peek()
+                kind, ops, arg = groups[-1]
+                if c == "&" or c == "|":
+                    self.i += 1
+                    op = MEET if c == "&" else JOIN
+                    while ops and (op == JOIN or ops[-1] == MEET):
+                        out.append(ops.pop())
+                    ops.append(op)
+                    break
+                groups.pop()
+                out += reversed(ops)
+                if kind is None:
+                    return tuple(out)
+                if kind == "join":
+                    if arg:
+                        out.append(JOIN)
+                    if c == ",":
                         self.i += 1
-                        args.append(self.join_term())
-                if self.peek() != ")":
+                        groups.append(("join", [], arg + 1))
+                        break
+                if c != ")":
                     self.error("expected ')'")
                 self.i += 1
-                return ("Join", tuple(args))
-            if name not in self.gens:
-                self.error(f"unknown generator {name!r}")
-            return ("gen", self.gens[name])
-        self.error("expected a term")
 
     def relation(self):
         t1 = self.term()
@@ -477,7 +510,7 @@ def parse_presentation(text, logic):
         if gens is None:
             raise ParseError("relations before the generators line", line=ln)
         gi = {g: i for i, g in enumerate(gens)}
-        relations.append(_parse_relation(line, ln, gi))
+        relations.append(_Parser(line, ln, gi).relation())
     if gens is None:
         raise ParseError("missing generators line")
     return Presentation(gens, relations, logic)
@@ -485,40 +518,7 @@ def parse_presentation(text, logic):
 
 def parse_query(text, presentation):
     gi = {g: i for i, g in enumerate(presentation.generators)}
-    return _parse_relation(text.strip(), 1, gi)
-
-
-# the stack frames kept free, below the recursion limit, for the callers
-# of the term evaluators
-_TERM_STACK_MARGIN = 100
-
-
-def _parse_relation(text, line, gen_index):
-    """One relation.  Terms are checked and evaluated by recursion, so a
-    term whose evaluation takes more frames than the recursion limit less
-    the margin is refused."""
-    try:
-        rel = _Parser(text, line, gen_index).relation()
-    except RecursionError:
-        rel = None
-    if rel is None or max(map(_depth, rel[1:])) > sys.getrecursionlimit() - _TERM_STACK_MARGIN:
-        raise ParseError("terms nested too deeply", line=line)
-    return rel
-
-
-def _depth(t):
-    """The stack frames that evaluating a term takes, counted without
-    recursion: one per level, two per join(...) level, whose evaluators
-    recurse through any()."""
-    best, stack = 0, [(t, 1)]
-    while stack:
-        t, h = stack.pop()
-        best = max(best, h)
-        if t[0] in ("meet", "join"):
-            stack += [(t[1], h + 1), (t[2], h + 1)]
-        elif t[0] == "Join":
-            stack += [(u, h + 2) for u in t[1]]
-    return best
+    return _Parser(text.strip(), 1, gi).relation()
 
 
 # ---------------------------------------------------------------------------
@@ -542,27 +542,17 @@ class PresentedLattice:
         return self._entails(t1, t2) and self._entails(t2, t1)
 
 
-def _horn_norm(t):
-    tag = t[0]
-    if tag == "gen":
-        return 1 << t[1]
-    if tag == "one":
-        return 0
-    if tag == "meet":
-        return _horn_norm(t[1]) | _horn_norm(t[2])
-    raise InvalidStructure("horn terms admit only generators, 1 and meets")
-
-
 def present_horn(pres, guard=None):
     """Meet-semilattice presented by implications: the closure system of
     the relation-driven attribute closure, ordered by reverse inclusion.
-    It is found by listing and closing all 2^k subsets of the generators,
-    so the frame guard bounds 2^k."""
+    A horn term is the set of generators it meets, its support mask.
+    The closure system is found by listing and closing all 2^k subsets of
+    the generators, so the frame guard bounds 2^k."""
     k = len(pres.generators)
     _guard_subsets(k, "horn presentation", guard)
     rules = []
     for op, t1, t2 in pres.relations:
-        a, b = _horn_norm(t1), _horn_norm(t2)
+        a, b = _support(t1, k, _HORN_TERMS), _support(t2, k, _HORN_TERMS)
         rules.append((a, b))
         if op == "=":
             rules.append((b, a))
@@ -584,30 +574,9 @@ def present_horn(pres, guard=None):
     gen_elements = [closed.index(close(1 << g)) for g in range(k)]
 
     def entails(t1, t2):
-        return _horn_norm(t2) & ~close(_horn_norm(t1)) == 0
+        return _support(t2, k, _HORN_TERMS) & ~close(_support(t1, k, _HORN_TERMS)) == 0
 
     return PresentedLattice("horn", poset, None, gen_elements, entails)
-
-
-def _eval_term_tables(t, gen_tables, nvals):
-    full = (1 << nvals) - 1
-    tag = t[0]
-    if tag == "gen":
-        return gen_tables[t[1]]
-    if tag == "one":
-        return full
-    if tag == "zero":
-        return 0
-    if tag == "meet":
-        return _eval_term_tables(t[1], gen_tables, nvals) & _eval_term_tables(t[2], gen_tables, nvals)
-    if tag == "join":
-        return _eval_term_tables(t[1], gen_tables, nvals) | _eval_term_tables(t[2], gen_tables, nvals)
-    if tag == "Join":
-        out = 0
-        for s in t[1]:
-            out |= _eval_term_tables(s, gen_tables, nvals)
-        return out
-    raise InvalidStructure(f"unknown term node {tag!r}")
 
 
 def free_bounded_dlat(k):
@@ -634,6 +603,7 @@ def present_coherent(pres, guard=None):
     if k > bound:
         raise GuardExceeded("free distributive lattice generators", k, bound)
     tables, gen_tables, nvals = free_bounded_dlat(k)
+    full = (1 << nvals) - 1
     tidx = {t: i for i, t in enumerate(tables)}
     n = len(tables)
     parent = list(range(n))
@@ -653,8 +623,8 @@ def present_coherent(pres, guard=None):
 
     pending = []
     for op, t1, t2 in pres.relations:
-        a = _eval_term_tables(t1, gen_tables, nvals)
-        b = _eval_term_tables(t2, gen_tables, nvals)
+        a = _value(t1, gen_tables, full)
+        b = _value(t2, gen_tables, full)
         if op == "<=":
             pending.append((tidx[a & b], tidx[a]))
         else:
@@ -694,73 +664,62 @@ def present_coherent(pres, guard=None):
     gen_elements = [q(tidx[g]) for g in gen_tables]
 
     def entails(t1, t2):
-        a = q(tidx[_eval_term_tables(t1, gen_tables, nvals)])
-        b = q(tidx[_eval_term_tables(t2, gen_tables, nvals)])
+        a = q(tidx[_value(t1, gen_tables, full)])
+        b = q(tidx[_value(t2, gen_tables, full)])
         return frame.meet[a][b] == a
 
     return PresentedLattice(pres.logic, poset, frame, gen_elements, entails)
 
 
 def relation_models(pres):
-    """All {0,1} assignments of the generators satisfying the relations,
-    by backtracking; models are generator bitmasks, ascending.
+    """All {0,1} assignments of the generators satisfying the relations, as
+    generator bitmasks, ascending.
 
-    The node that has assigned generators 0..i-1 checks only the relations
-    whose highest generator is i-1 (at the root, those with none), since
-    an ancestor has already passed every other fully assigned relation on
-    the same values.
+    Breadth first, without recursion: the relations without generators
+    are checked on the empty assignment, then step g extends each
+    surviving assignment of the generators below g by both values of g
+    and keeps the extensions that pass the relations whose highest
+    generator is g.  Each such relation is evaluated once over all the
+    extensions, with generator columns as values, one bit per extension.
     """
     k = len(pres.generators)
-    buckets = [[] for _ in range(k + 1)]
-    for op, t1, t2 in pres.relations:
-        buckets[(_term_support(t1) | _term_support(t2)).bit_length()].append((op, t1, t2))
-    models = []
-
-    def eval_t(t, m):
-        tag = t[0]
-        if tag == "gen":
-            return (m >> t[1]) & 1
-        if tag == "one":
-            return 1
-        if tag == "zero":
-            return 0
-        if tag == "meet":
-            return eval_t(t[1], m) & eval_t(t[2], m)
-        if tag == "join":
-            return eval_t(t[1], m) | eval_t(t[2], m)
-        if tag == "Join":
-            return 1 if any(eval_t(s, m) for s in t[1]) else 0
-
-    def rec(i, m):
-        for op, t1, t2 in buckets[i]:
-            v1, v2 = eval_t(t1, m), eval_t(t2, m)
-            if op == "<=" and v1 > v2:
-                return
-            if op == "=" and v1 != v2:
-                return
-        if i == k:
-            models.append(m)
-            return
-        rec(i + 1, m)
-        rec(i + 1, m | (1 << i))
-
-    rec(0, 0)
-    return sorted(models)
+    by_top = [[] for _ in range(k + 1)]
+    for rel in pres.relations:
+        by_top[max(max(rel[1]), max(rel[2]), -1) + 1].append(rel)
+    models = [0] if _passing(by_top[0], (), 1) else []
+    for g in range(k):
+        if not models:
+            break
+        n = len(models)
+        ok = _passing(by_top[g + 1], _Columns(models, g), (1 << 2 * n) - 1)
+        bit = 1 << g
+        models = [models[j] for j in bits(ok & ((1 << n) - 1))] + [models[j] | bit for j in bits(ok >> n)]
+    return models
 
 
-def _term_support(t):
-    tag = t[0]
-    if tag == "gen":
-        return 1 << t[1]
-    if tag in ("one", "zero"):
-        return 0
-    if tag == "meet" or tag == "join":
-        return _term_support(t[1]) | _term_support(t[2])
-    if tag == "Join":
-        out = 0
-        for s in t[1]:
-            out |= _term_support(s)
-        return out
+def _passing(rels, gens, top):
+    """The points below `top` where every relation holds, as a mask."""
+    ok = top
+    for op, t1, t2 in rels:
+        v1, v2 = _value(t1, gens, top), _value(t2, gens, top)
+        ok &= ~(v1 & ~v2) if op == "<=" else ~(v1 ^ v2)
+    return ok
+
+
+class _Columns(dict):
+    """The generator columns over `rows` extended by generator g, first
+    with g = 0 and then with g = 1: bits j and n + j of column h are bit h
+    of rows[j].  A column is built when a relation first reads it."""
+
+    def __init__(self, rows, g):
+        self.rows = rows
+        n = len(rows)
+        self[g] = ((1 << n) - 1) << n
+
+    def __missing__(self, h):
+        col = int("".join(["1" if m >> h & 1 else "0" for m in reversed(self.rows)]), 2)
+        col = self[h] = col | col << len(self.rows)
+        return col
 
 
 def present_semantic(pres, guard=None):
@@ -770,14 +729,12 @@ def present_semantic(pres, guard=None):
     Complete for the coherent fragment: prime filters of the (finite)
     presented lattice separate elements, and they are exactly the
     models.  Used as the oracle against the congruence route and as the
-    engine for large generator sets.
+    engine for large generator sets.  A term's extent is its value with
+    the generator extents as values.
     """
     models = relation_models(pres)
-    nm = len(models)
-    full = (1 << nm) - 1
-    gen_ext = []
-    for g in range(len(pres.generators)):
-        gen_ext.append(mask_of(i for i, m in enumerate(models) if (m >> g) & 1))
+    full = (1 << len(models)) - 1
+    gen_ext = transpose(models, len(pres.generators))
     # in a powerset the generated sublattice is the joins of meets
     bound = config.frame_guard(guard)
     meets = closed_family([full], gen_ext, and_, bound=bound, what="presented lattice")
@@ -785,29 +742,10 @@ def present_semantic(pres, guard=None):
     fr = frame_of_down_sets(family, None, labels=[f"<{bin(m)}>" for m in family], guard=guard)
     gen_elements = [fr.index[g] for g in gen_ext]
 
-    def extent(t):
-        return mask_of(i for i, m in enumerate(models) if _eval_model(t, m))
-
     def entails(t1, t2):
-        return extent(t1) & ~extent(t2) == 0
+        return _value(t1, gen_ext, full) & ~_value(t2, gen_ext, full) == 0
 
     return PresentedLattice(pres.logic, fr.poset, fr, gen_elements, entails)
-
-
-def _eval_model(t, m):
-    tag = t[0]
-    if tag == "gen":
-        return bool((m >> t[1]) & 1)
-    if tag == "one":
-        return True
-    if tag == "zero":
-        return False
-    if tag == "meet":
-        return _eval_model(t[1], m) and _eval_model(t[2], m)
-    if tag == "join":
-        return _eval_model(t[1], m) or _eval_model(t[2], m)
-    if tag == "Join":
-        return any(_eval_model(s, m) for s in t[1])
 
 
 def present_lattice(pres, guard=None):
@@ -852,17 +790,9 @@ def reflection_unit(kind, x, targets=None, guard=None):
 
 
 def _default_targets():
-    out = []
-    for k in range(4):
-        for p in _small_posets(k):
-            out.append(lower_sets(p))
-    return out
-
-
-def _small_posets(k):
     from .corpus import all_posets
 
-    return all_posets(k)
+    return [lower_sets(p) for k in range(4) for p in all_posets(k)]
 
 
 def _reflect_site(p, kind, targets, guard):

@@ -19,7 +19,7 @@ from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import Coverage
 from .order import Poset, closed_family, frame_of_down_sets, iso_search, set_label
-from .presentations import Presentation, present_coherent, present_semantic
+from .presentations import JOIN, MEET, ONE, ZERO, Presentation, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
 
 
@@ -403,16 +403,18 @@ def zariski_ideal_frame(ring, s=None, guard=None):
 
 def zariski_presentation(ring):
     """Generators D(a) with the four defining relation schemas."""
-    gens = [f"d{a}" for a in range(ring.n)]
-    rels = []
-    g = lambda a: ("gen", a)
-    rels.append(("=", g(ring.one), ("one",)))
-    rels.append(("=", g(ring.zero), ("zero",)))
+    return _d_presentation(ring, "=")
+
+
+def _d_presentation(ring, mul_op):
+    """Generators D(a) with D(1) = 1, D(0) = 0, D(ab) `mul_op` D(a) & D(b)
+    and D(a+b) <= D(a) | D(b)."""
+    rels = [("=", (ring.one,), (ONE,)), ("=", (ring.zero,), (ZERO,))]
     for a in range(ring.n):
         for b in range(a, ring.n):
-            rels.append(("=", g(ring.mul[a][b]), ("meet", g(a), g(b))))
-            rels.append(("<=", g(ring.add[a][b]), ("join", g(a), g(b))))
-    return Presentation(gens, rels, "coherent")
+            rels.append((mul_op, (ring.mul[a][b],), (a, b, MEET)))
+            rels.append(("<=", (ring.add[a][b],), (a, b, JOIN)))
+    return Presentation([f"d{a}" for a in range(ring.n)], rels, "coherent")
 
 
 def zariski_lattice(ring, guard=None, site=None):
@@ -594,14 +596,7 @@ def radical_membership(ring, a, bs, site=None):
 
 def op_ideal_presentation(ring):
     """The coherent theory of op-ideals: D(ab) <= D(a) & D(b) etc."""
-    gens = [f"d{a}" for a in range(ring.n)]
-    g = lambda a: ("gen", a)
-    rels = [("=", g(ring.one), ("one",)), ("=", g(ring.zero), ("zero",))]
-    for a in range(ring.n):
-        for b in range(a, ring.n):
-            rels.append(("<=", g(ring.mul[a][b]), ("meet", g(a), g(b))))
-            rels.append(("<=", g(ring.add[a][b]), ("join", g(a), g(b))))
-    return Presentation(gens, rels, "coherent")
+    return _d_presentation(ring, "<=")
 
 
 def op_ideal_space(ring):

@@ -9,15 +9,21 @@ directedly irreducible elements, and the congruence of S(A) as a
 transitive closure.  They are exponential and only meant for tiny
 carriers.  The rest are the direct forms of the table builders: bits by
 shifting, relations pair by pair, frame tables cell by cell, and the
-cubic check that tables make a distributive lattice.
+cubic check that tables make a distributive lattice.  Terms are also
+kept here as trees, with a recursive evaluator, a conversion to the
+library's postfix codes and a one-assignment evaluator of those codes;
+and the lattice corpus by its literal definition.
 """
 
 from itertools import combinations
 
 from stonework.bits import bits, mask_of, submasks
+from stonework.corpus import posets_upto
 from stonework.coverage import topology_failure
 from stonework.duality import supercompact_elements
 from stonework.errors import InvalidStructure
+from stonework.order import lower_sets
+from stonework.presentations import JOIN, MEET, ONE, ZERO
 from stonework.spectra import is_j_prime_filter
 
 
@@ -448,3 +454,71 @@ def brute_s_congruence(ring):
         classes.append(block)
         seenm |= block
     return sorted(classes)
+
+
+def brute_distributive_lattices(size):
+    """The lower-set frames of every poset with fewer than `size`
+    elements that have at most `size` elements, posets in corpus order."""
+    out = []
+    for p in posets_upto(max(0, size - 1)):
+        fr = lower_sets(p)
+        if fr.n <= size:
+            out.append(fr)
+    return out
+
+
+# term trees: ("gen", i), ("one",), ("zero",), ("meet", s, t), ("join", s, t)
+# and ("Join", (t1, ..., tn)) for join(t1, ..., tn)
+
+
+def eval_tree(t, m):
+    """A term tree's value at the assignment m, a generator bitmask."""
+    tag = t[0]
+    if tag == "gen":
+        return bool((m >> t[1]) & 1)
+    if tag == "one":
+        return True
+    if tag == "zero":
+        return False
+    if tag == "meet":
+        return eval_tree(t[1], m) and eval_tree(t[2], m)
+    if tag == "join":
+        return eval_tree(t[1], m) or eval_tree(t[2], m)
+    if tag == "Join":
+        return any(eval_tree(s, m) for s in t[1])
+    raise ValueError(f"unknown term node {tag!r}")
+
+
+def tree_code(t):
+    """The postfix code of a term tree."""
+    tag = t[0]
+    if tag == "gen":
+        return (t[1],)
+    if tag == "one":
+        return (ONE,)
+    if tag == "zero":
+        return (ZERO,)
+    if tag in ("meet", "join"):
+        return tree_code(t[1]) + tree_code(t[2]) + (MEET if tag == "meet" else JOIN,)
+    if tag == "Join":
+        if not t[1]:
+            return (ZERO,)
+        out = tree_code(t[1][0])
+        for s in t[1][1:]:
+            out += tree_code(s) + (JOIN,)
+        return out
+    raise ValueError(f"unknown term node {tag!r}")
+
+
+def eval_code(code, m):
+    """A postfix code's value at the assignment m, one truth value at a
+    time."""
+    stack = []
+    for c in code:
+        if c == MEET or c == JOIN:
+            b, a = stack.pop(), stack.pop()
+            stack.append(a and b if c == MEET else a or b)
+        else:
+            stack.append(c == ONE if c < 0 else bool((m >> c) & 1))
+    (value,) = stack
+    return value

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,6 @@ from stonework.formats import (
 from stonework.coverage import named_coverage
 from stonework.errors import InvalidStructure
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
-from stonework.presentations import _TERM_STACK_MARGIN
 from stonework.spectra import alexandrov_space
 from stonework.zariski import ring_zmod
 
@@ -372,9 +374,9 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
         (b"\xff\xfe", ["zariski", "--ring", "{f}"], "ParseError"),
         (b"generators: a\n\xff <= a\n", ["present", "--logic", "coherent", "{f}"], "ParseError"),
         (None, ["zariski", "--ring", "{d}"], "FileError"),
-        (b"generators: a\n" + b"(" * 3000 + b"a" + b")" * 3000 + b" <= a\n",
+        (b"generators: a\n" + b"(" * 3000 + b"a" + b")" * 2999 + b" <= a\n",
          ["present", "--logic", "coherent", "{f}"], "ParseError"),
-        (b"generators: a\n" + b"a & " * 3000 + b"a <= a\n",
+        (b"generators: a\n" + b"a & " * 3000 + b"<= a\n",
          ["present", "--logic", "horn", "{f}"], "ParseError"),
         (None, ["free", "--what", "mslat", "--gens", "-1"], "InvalidStructure"),
         (None, ["free", "--what", "frame-set", "--gens", "-1"], "InvalidStructure"),
@@ -400,24 +402,54 @@ def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     assert sorted(data) == ["error", "message"] and data["error"] == error
 
 
-def test_term_depth_limit_sits_below_the_evaluators_depth(capsys, tmp_path):
-    # a chain of n terms takes n frames to evaluate, a join(...) level two:
-    # terms at the limit are parsed and evaluated, one more is refused
-    limit = sys.getrecursionlimit() - _TERM_STACK_MARGIN
-    f = tmp_path / "deep.txt"
-    for joins, meets, code in [(0, limit, 0), (0, limit + 1, 1), (40, limit - 80, 0),
-                               (40, limit - 79, 1)]:
-        term = "join(" * joins + " & ".join(["a"] * meets) + ")" * joins
+# runs `present` on each argv list read from stdin with the recursion
+# limit at 200, printing [exit code, stdout] pairs
+_LOW_STACK_RUNNER = """
+import contextlib, io, json, sys
+from stonework.cli import main
+runs = json.load(sys.stdin)
+sys.setrecursionlimit(200)
+out = []
+for argv in runs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def test_deep_terms_run_without_recursion(tmp_path):
+    # every term T below equals a; with a <= b, `T = a & b` holds and
+    # `b <= T` does not, and each route is asked both across the terms.
+    # Run under a recursion limit of 200, so that no reader of terms may
+    # recurse per level.
+    terms = {"meets": (" & ".join(["a"] * 5000), True),
+             "joins": (" | ".join(["a"] * 5000), False),
+             "parentheses": ("(" * 2000 + "a" + ")" * 2000, True),
+             "join-levels": ("join(" * 1000 + "a" + ")" * 1000, False)}
+    routes = [["--logic", "horn"], ["--logic", "coherent"], ["--logic", "geometric", "--semantic"]]
+    runs, want = [], []
+    for i, (name, (term, horn)) in enumerate(terms.items()):
+        f = tmp_path / f"{name}.txt"
         f.write_text(f"generators: a b\n{term} <= b\n")
-        for logic, extra in [("coherent", ["--semantic", "--query", f"{term} <= a"]),
-                             ("coherent", []), ("horn", [])]:
-            if logic == "horn" and joins:
+        for j, route in enumerate(routes):
+            if route[1] == "horn" and not horn:
                 continue
-            got, out = run(capsys, "present", "--logic", logic, str(f), *extra)
-            assert got == code, (joins, meets, logic, extra)
-            if code:
-                assert json.loads(out) == {"error": "ParseError",
-                                           "message": "terms nested too deeply (line 2)"}
+            holds = (i + j) % 2 == 0
+            query = f"{term} = a & b" if holds else f"b <= {term}"
+            runs.append(["present", *route, str(f), "--query", query])
+            want.append((name, route[1], holds))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOW_STACK_RUNNER], input=json.dumps(runs),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(want)
+    for (code, out), (name, logic, holds) in zip(results, want):
+        assert code == 0, (name, logic, out[:300])
+        assert json.loads(out)["result"]["holds"] is holds, (name, logic)
 
 
 _KEYS = ["elements", "leq", "poset", "covers", "n", "add", "mul", "a", "b"]
@@ -429,6 +461,16 @@ _JSON = st.recursive(
 )
 _PRESENTATION = st.text(max_size=40) | st.builds(
     "generators: a b\n".__add__, st.text(alphabet="ab01&|()=<,# \njoin", max_size=30))
+
+
+def _nested(parens, joins, unclosed, op, terms):
+    return ("generators: a b\n" + "(" * parens + "join(" * joins + f" {op} ".join(["a"] * terms)
+            + ")" * (parens + joins - unclosed) + " <= b\n")
+
+
+# deep nesting, long chains, and one parenthesis too few or too many
+_NESTED = st.builds(_nested, st.integers(0, 1200), st.integers(0, 500), st.integers(-1, 1),
+                    st.sampled_from(["&", "|", ","]), st.integers(1, 1200))
 
 
 def _exit_code(argv):
@@ -448,15 +490,18 @@ def _exit_code(argv):
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(value=_JSON, text=_PRESENTATION, logic=st.sampled_from(["horn", "coherent", "geometric"]))
-def test_loaders_fuzzed_through_main(tmp_path_factory, value, text, logic):
+@given(value=_JSON, text=_PRESENTATION, logic=st.sampled_from(["horn", "coherent", "geometric"]),
+       nested=_NESTED)
+def test_loaders_fuzzed_through_main(tmp_path_factory, value, text, logic, nested):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "value.json").write_text(json.dumps(value))
     (d / "pres.txt").write_text(text)
+    (d / "nested.txt").write_text(nested)
     f, pres = str(d / "value.json"), str(d / "pres.txt")
     for argv in (["ideal-frame", f], ["filters", "--site", f], ["zariski", "--ring", f],
                  ["present", "--logic", logic, pres]):
         assert _exit_code(argv) in (0, 1, 2), argv
+    assert _exit_code(["present", "--logic", logic, str(d / "nested.txt")]) in (0, 1)
 
 
 def _count_calls(monkeypatch, fn):

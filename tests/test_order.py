@@ -7,7 +7,7 @@ from operator import or_
 import pytest
 
 from stonework.bits import bits, mask_of, popcount
-from stonework.corpus import all_posets, all_preorders, posets_upto
+from stonework.corpus import all_posets, all_preorders, distributive_lattices_upto, posets_upto
 from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import (
     FiniteFrame,
@@ -30,6 +30,7 @@ from stonework.order import (
 )
 
 from oracles import (
+    brute_distributive_lattices,
     brute_down_sets,
     brute_up_sets,
     cell_frame_tables,
@@ -426,3 +427,11 @@ def test_transitive_reduction_chain(chain3):
 def test_monotone_map_rejects_non_monotone(chain2, antichain2):
     with pytest.raises(InvalidStructure):
         MonotoneMap(chain2, chain2, [1, 0])
+
+
+def test_distributive_lattices_match_literal_definition():
+    # only the (size-1)-chain among the posets of size-1 elements fits
+    for size in range(7):
+        got, want = distributive_lattices_upto(size), brute_distributive_lattices(size)
+        assert [(fr.poset.up, fr.poset.labels, fr.element_masks) for fr in got] == \
+            [(fr.poset.up, fr.poset.labels, fr.element_masks) for fr in want], size

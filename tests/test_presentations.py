@@ -11,8 +11,13 @@ from stonework.coverage import ideal_frame, principal_j_ideal, saturate, trivial
 from stonework.errors import GuardExceeded, InvalidStructure, ParseError
 from stonework.order import as_poset, frame_hom_failure, iso_search, lower_sets, preorder_from_pairs
 from stonework.presentations import (
+    JOIN,
+    MEET,
+    ONE,
+    ZERO,
     Presentation,
-    _eval_model,
+    _support,
+    _value,
     enumerate_frame_homs,
     extend_filtering,
     extension_is_unique,
@@ -33,6 +38,8 @@ from stonework.presentations import (
     relation_models,
 )
 from stonework.spectra import elemental_space
+
+from oracles import eval_code, eval_tree, tree_code
 
 
 def chain2_poset():
@@ -266,7 +273,20 @@ class TestDSL:
 
     def test_parse_join_list(self):
         pres = parse_presentation("generators: a b c\njoin(a, b, c) = 1\n", "geometric")
-        assert pres.relations[0][1][0] == "Join"
+        assert pres.relations[0] == ("=", (0, 1, JOIN, 2, JOIN), (ONE,))
+
+    def test_parse_gives_the_postfix_code_of_the_tree(self):
+        a, b, c = (("gen", i) for i in range(3))
+        cases = {
+            "a | b & c & a | 0": ("join", ("join", a, ("meet", ("meet", b, c), a)), ("zero",)),
+            "(a | b) & join() & join(c) & join(a, b & c)": (
+                "meet", ("meet", ("meet", ("join", a, b), ("Join", ())), ("Join", (c,))),
+                ("Join", (a, ("meet", b, c)))),
+            "join(join(a | 1), (c))": ("Join", (("Join", (("join", a, ("one",)),)), c)),
+        }
+        pres = parse_presentation("generators: a b c\n", "geometric")
+        for text, tree in cases.items():
+            assert parse_query(f"{text} <= a", pres) == ("<=", tree_code(tree), (0,)), text
 
     def test_horn_rejects_join(self):
         with pytest.raises(InvalidStructure):
@@ -360,7 +380,7 @@ class TestPresent:
             query = parse_query(q, pres)
             op, t1, t2 = query
             semantic = all(
-                (not _eval_model(t1, m)) or _eval_model(t2, m) for m in models
+                (not eval_code(t1, m)) or eval_code(t2, m) for m in models
             )
             assert lat.entails(query) == semantic
 
@@ -423,28 +443,67 @@ def _terms(k):
 
 
 @st.composite
-def _presentations(draw):
+def _tree_relations(draw):
     k = draw(st.integers(0, 7))
     t = _terms(k)
-    rels = draw(st.lists(st.tuples(st.sampled_from(["<=", "="]), t, t), max_size=8))
-    return Presentation([f"g{i}" for i in range(k)], rels, "geometric")
+    return k, draw(st.lists(st.tuples(st.sampled_from(["<=", "="]), t, t), max_size=8))
 
 
 def _holds(rel, m):
     op, t1, t2 = rel
-    v1, v2 = _eval_model(t1, m), _eval_model(t2, m)
+    v1, v2 = eval_tree(t1, m), eval_tree(t2, m)
     return v1 <= v2 if op == "<=" else v1 == v2
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(pres=_presentations())
-@example(pres=Presentation(["a"], [("<=", ("one",), ("zero",))], "geometric"))
-@example(pres=Presentation(["a", "b"], [("=", ("Join", ()), ("meet", ("gen", 1), ("gen", 0)))],
-                           "geometric"))
-def test_relation_models_match_brute_force(pres):
-    k = len(pres.generators)
-    want = [m for m in range(1 << k) if all(_holds(r, m) for r in pres.relations)]
+@given(case=_tree_relations())
+@example(case=(1, [("<=", ("one",), ("zero",))]))
+@example(case=(2, [("=", ("Join", ()), ("meet", ("gen", 1), ("gen", 0)))]))
+def test_relation_models_match_brute_force(case):
+    k, rels = case
+    codes = [(op, tree_code(t1), tree_code(t2)) for op, t1, t2 in rels]
+    pres = Presentation([f"g{i}" for i in range(k)], codes, "geometric")
+    want = [m for m in range(1 << k) if all(_holds(r, m) for r in rels)]
     assert relation_models(pres) == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=st.integers(0, 4).flatmap(lambda k: st.tuples(st.just(k), _terms(k))))
+@example(case=(2, ("Join", ())))
+@example(case=(2, ("Join", (("meet", ("gen", 1), ("gen", 0)),))))
+def test_value_matches_tree_oracle(case):
+    # gens[i] holds the assignments (bit m for assignment m) that set
+    # generator i, so bit m of the value is the term at m
+    k, t = case
+    code = tree_code(t)
+    points = 1 << k
+    gens = [mask_of(m for m in range(points) if (m >> i) & 1) for i in range(k)]
+    want = mask_of(m for m in range(points) if eval_tree(t, m))
+    assert _value(code, gens, (1 << points) - 1) == want
+    assert [eval_code(code, m) for m in range(points)] == [eval_tree(t, m) for m in range(points)]
+    assert _support(code, k) == mask_of(c for c in code if c >= 0)
+
+
+def test_relation_models_of_a_long_chain():
+    # g_i <= g_{i+1}: the models are the up-sets of the chain, far more
+    # generators than the default recursion limit
+    k = 3000
+    rels = [("<=", (i,), (i + 1,)) for i in range(k - 1)]
+    models = relation_models(Presentation([f"g{i}" for i in range(k)], rels, "coherent"))
+    full = (1 << k) - 1
+    assert models == [full & ~((1 << j) - 1) for j in range(k, -1, -1)]
+
+
+def test_malformed_codes_are_refused():
+    for code in [(), (0, MEET), (0, 1), (2,), (-5,), ("gen", 0), (ONE, ZERO, 0, JOIN)]:
+        with pytest.raises(InvalidStructure):
+            Presentation(["a", "b"], [("<=", (0,), code)], "coherent")
+    for code in [(ZERO,), (0, 1, JOIN)]:
+        with pytest.raises(InvalidStructure, match="horn relations admit no joins and no 0"):
+            Presentation(["a", "b"], [("<=", (0,), code)], "horn")
+    pres = parse_presentation("generators: a b\n", "horn")
+    with pytest.raises(InvalidStructure, match="horn terms admit only generators, 1 and meets"):
+        present_horn(pres).entails(parse_query("a <= a | b", pres))
 
 
 class TestReflections:
