@@ -5,7 +5,7 @@ dump round-trips through its loader; loaders validate.
 """
 
 import json
-from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bits import bits, mask_of
@@ -23,14 +23,28 @@ def poset_to_json(p):
     }
 
 
+def _exact_int_lists(x, what):
+    """x, which must be a JSON list of lists of exact ints: a bool, a float
+    or a numeric string is a ParseError, not read as a number."""
+    if type(x) is not list or any(type(row) is not list for row in x):
+        raise ParseError(f"{what} must be a list of lists of integers")
+    for v in chain.from_iterable(x):
+        if type(v) is not int:
+            raise ParseError(f"{what} must hold integers only, not {json.dumps(v)}")
+    return x
+
+
 def poset_from_json(obj):
     """Load {"elements": [...], "leq": [[i,j],...]}; pairs are generators
     and the reflexive-transitive closure is applied."""
     try:
-        elements = list(obj["elements"])
-        pairs = [(int(i), int(j)) for i, j in obj["leq"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        elements, pairs = obj["elements"], _exact_int_lists(obj["leq"], "leq")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad poset object: {exc}")
+    if type(elements) is not list:
+        raise ParseError("poset elements must be a list")
+    if any(len(pair) != 2 for pair in pairs):
+        raise ParseError("each leq pair must have two entries")
     labels = [str(e) for e in elements]
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate element labels")
@@ -101,11 +115,15 @@ def space_to_json(sp):
 
 def space_from_json(obj):
     try:
-        points = [str(x) for x in obj["points"]]
-        opens = [mask_of(int(i) for i in o) for o in obj["opens"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        points, opens = obj["points"], _exact_int_lists(obj["opens"], "opens")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad space object: {exc}")
-    return TopSpace(len(points), opens, labels=points)
+    if type(points) is not list:
+        raise ParseError("space points must be a list")
+    n = len(points)
+    if not all(0 <= i < n for i in chain.from_iterable(opens)):
+        raise ParseError(f"opens must hold point indices in 0..{n - 1}")
+    return TopSpace(n, [mask_of(o) for o in opens], labels=[str(x) for x in points])
 
 
 def ring_to_json(r):
@@ -114,11 +132,12 @@ def ring_to_json(r):
 
 def ring_from_json(obj):
     try:
-        n = int(obj["n"])
-        add = [[int(x) for x in row] for row in obj["add"]]
-        mul = [[int(x) for x in row] for row in obj["mul"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = obj["n"]
+        add, mul = _exact_int_lists(obj["add"], "add"), _exact_int_lists(obj["mul"], "mul")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad ring object: {exc}")
+    if type(n) is not int:
+        raise ParseError(f"ring size n must be an integer, not {json.dumps(n)}")
     for table in (add, mul):
         if len(table) != n or any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
             raise ParseError(f"ring tables must be {n} x {n} with entries in 0..{n - 1}")
@@ -133,8 +152,9 @@ def dumps(obj):
     """Canonical JSON text: sorted keys, no float drift, trailing newline.
 
     The same bytes as json.dumps(obj, sort_keys=True, indent=2) + "\n",
-    without the pure-Python indent encoder: a list of scalars, such as a
-    row of a table, is one call of the C encoder.
+    without the pure-Python indent encoder: a list of scalars is one call
+    of the C encoder, and a list of non-empty int rows, such as a frame's
+    tables or an order's pairs, is one join of digit strings per row.
     """
     out = []
     _write(obj, "\n", out)
@@ -143,13 +163,7 @@ def dumps(obj):
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@lru_cache(maxsize=None)
-def _scalar_encode(nl):
-    """The C encoder for scalar lists whose items start lines with `nl`;
-    cached, as an order's pairs are thousands of lists at one indent."""
-    return json.JSONEncoder(separators=("," + nl, ": ")).encode
+_ROWS = frozenset({list, tuple})
 
 
 def _write(x, nl, out):
@@ -166,9 +180,16 @@ def _write(x, nl, out):
         out.append(nl + "}")
         return
     if (kind is list or kind is tuple) and x:
-        if set(map(type, x)) <= _SCALARS:
-            out.append("[" + inner + _scalar_encode(inner)(x)[1:-1] + nl + "]")
+        types = set(map(type, x))
+        if types <= _SCALARS:
+            encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
+            out.append("[" + inner + encode(x)[1:-1] + nl + "]")
             return
+        if types <= _ROWS:
+            text = _int_rows(x, inner)
+            if text is not None:
+                out += ("[" + inner, text, nl + "]")
+                return
         sep = "[" + inner
         for item in x:
             out.append(sep)
@@ -177,6 +198,23 @@ def _write(x, nl, out):
         out.append(nl + "]")
         return
     out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _int_rows(rows, nl):
+    """The text of non-empty rows of ints, each row starting a line
+    indented as `nl`, joined from one digit string per value; None unless
+    every value is an exact int, none negative, all below the cell count,
+    so that the digit strings never outnumber the cells."""
+    if not all(rows) or set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    values = set(chain.from_iterable(rows))
+    high = max(values)
+    if min(values) < 0 or high >= sum(map(len, rows)):
+        return None
+    digits = list(map(str, range(high + 1)))
+    cell = nl + "  "
+    sep, close = "," + cell, nl + "]"
+    return ("," + nl).join(["[" + cell + sep.join([digits[i] for i in row]) + close for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -519,9 +519,9 @@ def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join=Non
         raise InvalidStructure("family is not closed under join") from None
     # meet as intersection and join as a closed union give a lattice by
     # construction; the check guards the builders up to 64 elements.  Past
-    # that it stays off: though O(n²), it would be a large share of a big
-    # build, 0.33 s on the 1,024-element frame of the 10-antichain, whose
-    # whole `ideal-frame` job takes 0.55 s (2-core host, Python 3.11)
+    # that it stays off: though O(n²), on a large frame such as the
+    # 10-antichain's 1,024 elements it costs nearly as much as the whole
+    # `ideal-frame` job without it
     fr = FiniteFrame(poset, meet, join, element_masks=elems, _checked=n > 64)
     return fr
 

@@ -595,6 +595,37 @@ def free_bounded_dlat(k):
     return tables, gens, nvals
 
 
+def _congruence_roots(tables, bounds):
+    """The congruence of the lattice `tables` (ints under & and |, closed
+    under both) generated by the pairs (lo, hi) of `bounds`, lo <= hi: the
+    least index of each table's class.
+
+    It is the join of the principal congruences θ(lo, hi), and θ(s, t) =
+    θ(s ∧ t, s ∨ t) serves any pair.  In a distributive lattice x ≡ y
+    (mod θ(lo, hi)) iff x ∧ lo = y ∧ lo and x ∨ hi = y ∨ hi (Grätzer,
+    *General Lattice Theory*), so each pair is one union-find pass keyed
+    by (t & lo, t | hi), and no pass need be repeated: the transitive
+    closure of a union of congruences is their join.
+    """
+    parent = list(range(len(tables)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for lo, hi in bounds:
+        first = {}
+        for i, t in enumerate(tables):
+            j = first.setdefault((t & lo, t | hi), i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(tables))]
+
+
 def present_coherent(pres, guard=None):
     """Distributive lattice presented by congruence closure on the
     materialised free bounded distributive lattice."""
@@ -605,54 +636,18 @@ def present_coherent(pres, guard=None):
     tables, gen_tables, nvals = free_bounded_dlat(k)
     full = (1 << nvals) - 1
     tidx = {t: i for i, t in enumerate(tables)}
-    n = len(tables)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-            return True
-        return False
-
-    pending = []
+    bounds = []
     for op, t1, t2 in pres.relations:
         a = _value(t1, gen_tables, full)
         b = _value(t2, gen_tables, full)
-        if op == "<=":
-            pending.append((tidx[a & b], tidx[a]))
-        else:
-            pending.append((tidx[a], tidx[b]))
-    changed = True
-    while changed:
-        changed = False
-        for x, y in pending:
-            if union(x, y):
-                changed = True
-        merged = {}
-        for i in range(n):
-            merged.setdefault(find(i), []).append(i)
-        for root, block in merged.items():
-            rep = tables[block[0]]
-            for other in block[1:]:
-                o = tables[other]
-                for z in tables:
-                    if union(tidx[rep & z], tidx[o & z]):
-                        changed = True
-                    if union(tidx[rep | z], tidx[o | z]):
-                        changed = True
-    roots = sorted({find(i) for i in range(n)})
+        bounds.append((a & b, a if op == "<=" else a | b))
+    root = _congruence_roots(tables, bounds)
+    roots = sorted(set(root))
     ridx = {r: i for i, r in enumerate(roots)}
     m = len(roots)
 
     def q(i):
-        return ridx[find(i)]
+        return ridx[root[i]]
 
     # order on the quotient: [x] <= [y]  iff  [x & y] == [x]
     up = [mask_of(ridx[s] for s in roots if q(tidx[tables[r] & tables[s]]) == ridx[r]) for r in roots]

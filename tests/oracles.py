@@ -5,14 +5,16 @@ submask scan for down-sets, generate-and-test for topologies, the
 fixpoint of the saturation rules, the fixpoint of the closure rule, the
 2**n scans for prime filters, completely prime filters and supercompact
 elements, the antichain-cover search for C-compact, indecomposable and
-directedly irreducible elements, and the congruence of S(A) as a
-transitive closure.  They are exponential and only meant for tiny
-carriers.  The rest are the direct forms of the table builders: bits by
-shifting, relations pair by pair, frame tables cell by cell, and the
-cubic check that tables make a distributive lattice.  Terms are also
-kept here as trees, with a recursive evaluator, a conversion to the
-library's postfix codes and a one-assignment evaluator of those codes;
-and the lattice corpus by its literal definition.
+directedly irreducible elements, the congruence of S(A) as a
+transitive closure, and the congruence of a presented distributive
+lattice as a fixpoint of union-find rounds.  They are exponential and
+only meant for tiny carriers.  The rest are the direct forms of the
+table builders: bits by shifting, relations pair by pair, frame tables
+cell by cell, and the cubic check that tables make a distributive
+lattice.  Terms are also kept here as trees, with a recursive
+evaluator, a conversion to the library's postfix codes and a
+one-assignment evaluator of those codes; and the lattice corpus by its
+literal definition.
 """
 
 from itertools import combinations
@@ -454,6 +456,49 @@ def brute_s_congruence(ring):
         classes.append(block)
         seenm |= block
     return sorted(classes)
+
+
+def fixpoint_congruence_roots(tables, pairs):
+    """The congruence of the lattice `tables` (ints under & and |, closed
+    under both) generated by identifying each pair of tables in `pairs`,
+    as the least index of each table's class: every pair is merged, then
+    every member of every class is merged with its class's first member
+    under & and | with every table, round after round until a round
+    merges nothing."""
+    tidx = {t: i for i, t in enumerate(tables)}
+    n = len(tables)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            return True
+        return False
+
+    pending = [(tidx[s], tidx[t]) for s, t in pairs]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in pending:
+            changed |= union(x, y)
+        blocks = {}
+        for i in range(n):
+            blocks.setdefault(find(i), []).append(i)
+        for block in blocks.values():
+            rep = tables[block[0]]
+            for other in block[1:]:
+                o = tables[other]
+                for z in tables:
+                    changed |= union(tidx[rep & z], tidx[o & z])
+                    changed |= union(tidx[rep | z], tidx[o | z])
+    return [find(i) for i in range(n)]
 
 
 def brute_distributive_lattices(size):

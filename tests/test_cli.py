@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stonework import formats, order
 from stonework.cli import main
@@ -28,7 +28,7 @@ from stonework.formats import (
     space_to_json,
 )
 from stonework.coverage import named_coverage
-from stonework.errors import InvalidStructure
+from stonework.errors import InvalidStructure, ParseError
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
 from stonework.spectra import alexandrov_space
 from stonework.zariski import ring_zmod
@@ -103,6 +103,13 @@ class TestRoundTrips:
         sp = alexandrov_space(preorder_from_pairs(2, [(0, 1)]))
         sp2 = space_from_json(space_to_json(sp))
         assert sp2.opens == sp.opens
+
+    @pytest.mark.parametrize("fault", [1.0, True, "1", 2, -1, 10 ** 30])
+    def test_space_with_bad_opens_refused(self, fault):
+        obj = space_to_json(alexandrov_space(preorder_from_pairs(2, [(0, 1)])))
+        obj["opens"][-1][-1] = fault
+        with pytest.raises(ParseError):
+            space_from_json(obj)
 
     def test_ring(self):
         r = ring_zmod(6)
@@ -380,12 +387,27 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
          ["present", "--logic", "horn", "{f}"], "ParseError"),
         (None, ["free", "--what", "mslat", "--gens", "-1"], "InvalidStructure"),
         (None, ["free", "--what", "frame-set", "--gens", "-1"], "InvalidStructure"),
+        ({"elements": "ab", "leq": []}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": [[0, 1.7]]}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": [[0, 1.7]]}, ["filters", "--site", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": [[0, "1"]]}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": [[0, True]]}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": ["01"]}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"elements": ["a", "b"], "leq": [[0, 1, 1]]}, ["ideal-frame", "{f}"], "ParseError"),
+        ({"n": 2, "add": [[0, 1], [1, 0]], "mul": [[0.4, 0], [0, 1]]}, ["zariski", "--ring", "{f}"],
+         "ParseError"),
+        ({"n": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, True]]}, ["zariski", "--ring", "{f}"],
+         "ParseError"),
+        ({"n": 2.0, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}, ["zariski", "--ring", "{f}"],
+         "ParseError"),
     ],
     ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
          "ring-rows-short", "covers-list", "family-string", "site-number",
          "ring-not-utf8", "presentation-not-utf8", "ring-directory",
          "presentation-nested-parentheses", "presentation-long-meet",
-         "free-mslat-negative", "free-frame-set-negative"],
+         "free-mslat-negative", "free-frame-set-negative",
+         "elements-string", "leq-float", "filters-leq-float", "leq-string", "leq-bool",
+         "leq-pair-string", "leq-triple", "ring-float", "ring-bool", "ring-n-float"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     f = tmp_path / "input.json"
@@ -554,13 +576,29 @@ _VALUE = st.recursive(
 )
 
 
+# the explicit examples are the edges of the digit-row path: a bool, a
+# negative, an empty row, a value at or past the cell count, a float, a
+# huge int and deeper nesting
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_VALUE)
+@example([[0, True]])
+@example([[1, -1]])
+@example([[], [3]])
+@example([[0], []])
+@example([(1, 2), [3, 4]])
+@example([(1, 2), [3, 0]])
+@example([[2 ** 70, 0]])
+@example([[0, 1.0]])
+@example([[7, 0]])
+@example([[[0, 1]], [[2]]])
 def test_dumps_is_json_dumps_byte_for_byte(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_dumps_on_frame_tables():
-    for p in (preorder_from_pairs(6, []), preorder_from_pairs(5, [(0, 1), (1, 2), (0, 3)])):
+    # the 7-antichain's frame has 128 elements, past the 64 up to which
+    # frame_of_down_sets checks its tables
+    for p in (preorder_from_pairs(6, []), preorder_from_pairs(5, [(0, 1), (1, 2), (0, 3)]),
+              preorder_from_pairs(7, [])):
         obj = {"frame": frame_to_json(lower_sets(p)), "ring": ring_to_json(ring_zmod(12))}
         assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

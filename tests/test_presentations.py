@@ -16,6 +16,7 @@ from stonework.presentations import (
     ONE,
     ZERO,
     Presentation,
+    _congruence_roots,
     _support,
     _value,
     enumerate_frame_homs,
@@ -39,7 +40,7 @@ from stonework.presentations import (
 )
 from stonework.spectra import elemental_space
 
-from oracles import eval_code, eval_tree, tree_code
+from oracles import eval_code, eval_tree, fixpoint_congruence_roots, tree_code
 
 
 def chain2_poset():
@@ -482,6 +483,31 @@ def test_value_matches_tree_oracle(case):
     assert _value(code, gens, (1 << points) - 1) == want
     assert [eval_code(code, m) for m in range(points)] == [eval_tree(t, m) for m in range(points)]
     assert _support(code, k) == mask_of(c for c in code if c >= 0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=st.integers(0, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.sampled_from(["<=", "="]), _terms(k), _terms(k)), max_size=6))))
+@example(case=(2, [("<=", ("gen", 0), ("gen", 1)), ("=", ("gen", 1), ("meet", ("gen", 0), ("gen", 1)))]))
+def test_congruence_roots_match_fixpoint_oracle(case):
+    # one pass per principal congruence against the closure of the
+    # generating pairs under & and |, repeated until nothing merges
+    k, rels = case
+    tables, gens, nvals = free_bounded_dlat(k)
+    full = (1 << nvals) - 1
+    pairs, bounds = [], []
+    for op, t1, t2 in rels:
+        a, b = _value(tree_code(t1), gens, full), _value(tree_code(t2), gens, full)
+        pairs.append((a & b, a) if op == "<=" else (a, b))
+        bounds.append((a & b, a if op == "<=" else a | b))
+    roots = fixpoint_congruence_roots(tables, pairs)
+    assert _congruence_roots(tables, bounds) == roots
+    codes = [(op, tree_code(t1), tree_code(t2)) for op, t1, t2 in rels]
+    lat = present_coherent(Presentation([f"g{i}" for i in range(k)], codes, "coherent"))
+    classes = sorted(set(roots))
+    assert lat.poset.labels == tuple(f"[{bin(tables[r])}]" for r in classes)
+    tidx = {t: i for i, t in enumerate(tables)}
+    assert list(lat.gen_elements) == [classes.index(roots[tidx[g]]) for g in gens]
 
 
 def test_relation_models_of_a_long_chain():
