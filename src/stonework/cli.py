@@ -6,6 +6,7 @@ Guards in effect are reported in every output header.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -22,6 +23,7 @@ from .corpus import (
 from .coverage import (
     GrothendieckTopology,
     ideal_frame,
+    j_ideals,
     named_coverage,
     saturate,
     topologies_equal_by_ideals,
@@ -133,11 +135,12 @@ def cmd_ideal_frame(args):
 
 def cmd_space(args):
     cov = _load_site(args)
-    fr = ideal_frame(cov)
     filters = j_prime_filters(cov)
-    if args.gamma:
+    if args.gamma is not None:
         import os
 
+        fr = ideal_frame(cov)
+        ideals = fr.element_masks
         if os.path.exists(args.gamma):
             raw = _read_json(args.gamma)
             if not isinstance(raw, list):
@@ -147,14 +150,15 @@ def cmd_space(args):
         sp = gamma_subterminal_space(cov, [_int(x, "a --gamma index") for x in raw],
                                      frame=fr, filters=filters)
     else:
-        sp = subterminal_space(cov, frame=fr, filters=filters)
+        ideals = j_ideals(cov)
+        sp = subterminal_space(cov, ideals=ideals, filters=filters)
     if args.dot:
         sys.stdout.write(space_to_dot(sp))
         return 0
-    flag, ideals, extents = enough_points(cov, frame=fr, filters=filters)
+    flag, n_ideals, extents = enough_points(cov, ideals=ideals, filters=filters)
     _emit(_envelope({"space": space_to_json(sp),
                      "enough_points": flag,
-                     "ideals": ideals,
+                     "ideals": n_ideals,
                      "separated_extents": extents}))
     return 0
 
@@ -383,7 +387,14 @@ def cmd_dot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    It names each command only by its `dest="command"` string: main()
+    finds cmd_<command> at call time, so that a replaced cmd_* function
+    is the one that runs.
+    """
     ap = argparse.ArgumentParser(prog="stonework", description=__doc__)
     ap.add_argument("--guard", type=int, help="override the frame-size guard")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -391,19 +402,16 @@ def build_parser():
     s = sub.add_parser("ideal-frame", help="frame of J-ideals of a poset with a named coverage")
     s.add_argument("poset")
     s.add_argument("--coverage", default="trivial")
-    s.set_defaults(fn=cmd_ideal_frame)
 
     s = sub.add_parser("space", help="subterminal space of a site")
     s.add_argument("--site", required=True)
     s.add_argument("--coverage", default="trivial")
     s.add_argument("--gamma", help="subframe: JSON file with a list of ideal-frame element indices, or a comma-separated list")
     s.add_argument("--dot", action="store_true")
-    s.set_defaults(fn=cmd_space)
 
     s = sub.add_parser("filters", help="J-prime filters of a site")
     s.add_argument("--site", required=True)
     s.add_argument("--coverage", default="trivial")
-    s.set_defaults(fn=cmd_filters)
 
     s = sub.add_parser("dual", help="duality round-trip report")
     s.add_argument("--kind", required=True,
@@ -411,53 +419,45 @@ def build_parser():
                             "mslatstar", "atomdlat", "disjunctive"])
     s.add_argument("input")
     s.add_argument("--dot", action="store_true")
-    s.set_defaults(fn=cmd_dual)
 
     s = sub.add_parser("free", help="free structures")
     s.add_argument("--what", required=True, choices=["mslat", "frame-set", "frame-jsl", "frame-cjsl"])
     s.add_argument("--gens", type=int, default=0)
     s.add_argument("--jsl", help="poset JSON of a join-semilattice")
-    s.set_defaults(fn=cmd_free)
 
     s = sub.add_parser("present", help="lattice presented by generators and relations")
     s.add_argument("--logic", required=True, choices=["horn", "coherent", "geometric"])
     s.add_argument("file")
     s.add_argument("--query", help='entailment query, e.g. "a & b <= c"')
     s.add_argument("--semantic", action="store_true", help="use the model-based engine")
-    s.set_defaults(fn=cmd_present)
 
     s = sub.add_parser("zariski", help="Zariski spectrum of a finite ring")
     s.add_argument("--ring", required=True, help="zmod:N or a ring table JSON file")
     s.add_argument("--op-ideals", action="store_true")
     s.add_argument("--dot", action="store_true")
-    s.set_defaults(fn=cmd_zariski)
 
     s = sub.add_parser("check", help="logical invariants of a structure")
     s.add_argument("--invariant", required=True, choices=["boolean", "demorgan", "twovalued", "gd"])
     s.add_argument("--input", required=True)
     s.add_argument("--kind", choices=["dlat", "mslat", "preorder", "frame"])
-    s.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("sweep", help="run the registered theorem checks over small corpora")
     s.add_argument("--max-poset", type=int, default=3)
     s.add_argument("--max-dlat", type=int, default=5)
     s.add_argument("--random-sites", type=int, default=25)
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(fn=cmd_sweep)
 
     s = sub.add_parser("dot", help="Hasse diagram of a poset as DOT")
     s.add_argument("poset")
-    s.set_defaults(fn=cmd_dot)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config.set_frame_guard_override(args.guard)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except StoneworkError as exc:
         sys.stdout.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1

@@ -197,17 +197,25 @@ def principal_j_ideal(J, c):
     return j_closure(J, J.base.dn[c])
 
 
-def ideal_frame(J, guard=None):
-    """The frame Id_J(C) of all J-ideals under inclusion, for a coverage
-    or a topology J_D.
+def j_ideals(J, guard=None):
+    """All J-ideals as ascending bitmasks, for a coverage or a topology J_D.
 
     A J-ideal is the closure of its D-part, and every down-set of D is
-    one, so the carrier is the closures of the down-sets of D.  The join
-    of two ideals is the ideal over the union of their D-parts.
+    one, so the J-ideals are the closures of the down-sets of D.  The
+    listing stops under the frame-size guard.
     """
     p, dmask = J.base, J.dmask
     downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
-    ideals = sorted(j_closure(J, m) for m in downs)
+    return sorted(j_closure(J, m) for m in downs)
+
+
+def ideal_frame(J, guard=None):
+    """The frame Id_J(C) of all J-ideals under inclusion, for a coverage
+    or a topology J_D: the j_ideals, with the join of two ideals the
+    ideal over the union of their D-parts.
+    """
+    p, dmask = J.base, J.dmask
+    ideals = j_ideals(J, guard=guard)
     # the D-parts of the ideals, listed in the ideals' order
     part = {m & dmask: i for i, m in enumerate(ideals)}
     join = [[part[a | b] for b in part] for a in part]

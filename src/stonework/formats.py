@@ -90,8 +90,8 @@ def frame_to_json(fr):
         "leq": [[i, j] for i in range(fr.n) for j in bits(fr.poset.up[i]) if i != j],
         "bot": fr.bot,
         "top": fr.top,
-        "meet": [list(r) for r in fr.meet],
-        "join": [list(r) for r in fr.join],
+        "meet": fr.meet,
+        "join": fr.join,
     }
 
 

@@ -9,7 +9,7 @@ from operator import and_, or_
 from .bits import bits, mask_of, popcount
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
-from .coverage import GrothendieckTopology, ideal_frame, principal_j_ideal
+from .coverage import GrothendieckTopology, ideal_frame, j_ideals, principal_j_ideal
 from .duality import is_cover_preserving
 from .order import Preorder, closed_family, frame_of_down_sets, is_flat, set_label
 
@@ -165,22 +165,33 @@ def filter_bijection(J, guard=None):
 # subterminal spaces
 
 
-def subterminal_space(J, guard=None, frame=None, filters=None):
+def subterminal_space(J, guard=None, ideals=None, filters=None):
     """Points are the J-prime filters; opens are F_I for J-ideals I.
 
     The sub-basis {F_c : c in C} is verified to generate the topology.
-    `frame` and `filters`, when given, are ideal_frame(J) and
+    `ideals` and `filters`, when given, are j_ideals(J) and
     j_prime_filters(J), already built by the caller.
+
+    That one comparison also proves the opens a topology, so TopSpace
+    does not check them again.  space_from_subbasis closes the sub-basis
+    under intersection starting from the full set, which gives a family
+    B closed under intersection, and then closes B under union starting
+    from the empty set.  The result holds both bounds, is closed under
+    union by construction, and is closed under intersection because
+    (b1 | ... | bk) & (c1 | ... | cl) is the union of the bi & cj, each
+    in B.  Every sub-basis mask lies inside the n points.  So the
+    generated family is a topology on the n points, and opens equal to
+    it are one too.
     """
     p = J.base
+    ideals = j_ideals(J, guard=guard) if ideals is None else ideals
     filters = j_prime_filters(J) if filters is None else filters
-    fr = ideal_frame(J, guard=guard) if frame is None else frame
     n = len(filters)
     opens = set()
-    for m in fr.element_masks:
+    for m in ideals:
         opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
     labels = [set_label(p.label, F) for F in filters]
-    space = TopSpace(n, opens, labels=labels)
+    space = TopSpace(n, opens, labels=labels, _checked=True)
     subbasis = [mask_of(i for i, F in enumerate(filters) if (F >> c) & 1) for c in range(p.n)]
     generated = space_from_subbasis(n, subbasis, labels=labels)
     if generated.opens != space.opens:
@@ -193,8 +204,8 @@ def gamma_subterminal_space(J, gamma_indices, guard=None, frame=None, filters=No
 
     gamma_indices picks elements of ideal_frame(J); they must include the
     bounds and be closed under binary meet and join.  The points are all
-    the J-prime filters.  `frame` and `filters` are as in
-    subterminal_space.
+    the J-prime filters.  `frame` and `filters`, when given, are
+    ideal_frame(J) and j_prime_filters(J), already built by the caller.
     """
     p = J.base
     fr = ideal_frame(J, guard=guard) if frame is None else frame
@@ -216,19 +227,19 @@ def gamma_subterminal_space(J, gamma_indices, guard=None, frame=None, filters=No
     return TopSpace(len(filters), opens, labels=[set_label(p.label, F) for F in filters])
 
 
-def enough_points(J, guard=None, frame=None, filters=None):
+def enough_points(J, guard=None, ideals=None, filters=None):
     """Whether the J-prime filters separate the J-ideals.
 
     Finitely this can fail for exotic topologies; when it does, the
     open-set frame of the subterminal space is a proper quotient of
     Id_J(C) and we report the failure instead of assuming spatiality.
-    Returns (flag, ideal_count, distinct_extents).  `frame` and
+    Returns (flag, ideal_count, distinct_extents).  `ideals` and
     `filters` are as in subterminal_space.
     """
-    fr = ideal_frame(J, guard=guard) if frame is None else frame
+    ideals = j_ideals(J, guard=guard) if ideals is None else ideals
     filters = j_prime_filters(J) if filters is None else filters
-    extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in fr.element_masks}
-    return len(extents) == fr.n, fr.n, len(extents)
+    extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in ideals}
+    return len(extents) == len(ideals), len(ideals), len(extents)
 
 
 def induced_map(f, J, K):

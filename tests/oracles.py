@@ -10,8 +10,9 @@ transitive closure, and the congruence of a presented distributive
 lattice as a fixpoint of union-find rounds.  They are exponential and
 only meant for tiny carriers.  The rest are the direct forms of the
 table builders: bits by shifting, relations pair by pair, frame tables
-cell by cell, and the cubic check that tables make a distributive
-lattice.  Terms are also kept here as trees, with a recursive
+cell by cell, the cubic check that tables make a distributive
+lattice, and the subterminal space from the ideal frame with its
+pairwise topology check.  Terms are also kept here as trees, with a recursive
 evaluator, a conversion to the library's postfix codes and a
 one-assignment evaluator of those codes; and the lattice corpus by its
 literal definition.
@@ -21,12 +22,12 @@ from itertools import combinations
 
 from stonework.bits import bits, mask_of, submasks
 from stonework.corpus import posets_upto
-from stonework.coverage import topology_failure
+from stonework.coverage import ideal_frame, topology_failure
 from stonework.duality import supercompact_elements
-from stonework.errors import InvalidStructure
-from stonework.order import lower_sets
+from stonework.errors import CheckFailed, InvalidStructure
+from stonework.order import lower_sets, set_label
 from stonework.presentations import JOIN, MEET, ONE, ZERO
-from stonework.spectra import is_j_prime_filter
+from stonework.spectra import TopSpace, is_j_prime_filter, j_prime_filters, space_from_subbasis
 
 
 def brute_down_sets(p, within=None):
@@ -164,6 +165,30 @@ def brute_ideal_frame(p, sieves):
 def brute_j_prime_filters(J):
     """Every subset of the carrier that is a J-prime filter, ascending."""
     return [m for m in range(1 << J.base.n) if is_j_prime_filter(J, m)]
+
+
+def frame_subterminal_space(J):
+    """The subterminal space as built from the ideal frame: opens from
+    ideal_frame(J).element_masks, checked pairwise by TopSpace, then
+    compared with the space the sub-basis {F_c} generates."""
+    fr = ideal_frame(J)
+    filters = j_prime_filters(J)
+    n = len(filters)
+    opens = {mask_of(i for i, F in enumerate(filters) if F & m) for m in fr.element_masks}
+    labels = [set_label(J.base.label, F) for F in filters]
+    space = TopSpace(n, opens, labels=labels)
+    subbasis = [mask_of(i for i, F in enumerate(filters) if (F >> c) & 1) for c in range(J.base.n)]
+    if space_from_subbasis(n, subbasis, labels=labels).opens != space.opens:
+        raise CheckFailed("sub-basis {F_c} does not generate the subterminal topology")
+    return space
+
+
+def frame_enough_points(J):
+    """(flag, ideal count, distinct extents) read off the ideal frame."""
+    fr = ideal_frame(J)
+    filters = j_prime_filters(J)
+    extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in fr.element_masks}
+    return len(extents) == fr.n, fr.n, len(extents)
 
 
 def shift_bits(mask):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonework import formats, order
+from stonework import cli, coverage, formats, order, spectra
 from stonework.cli import main
 from stonework.formats import (
     coverage_from_json,
@@ -92,6 +92,9 @@ class TestRoundTrips:
     @pytest.mark.parametrize("fault", [-1, 7, "x", 1.0, "ragged"])
     def test_frame_with_bad_tables_refused(self, fault):
         obj = frame_to_json(lower_sets(preorder_from_pairs(2, [])))
+        # frame_to_json hands out the frame's own tables; plant the fault
+        # in copies
+        obj["meet"], obj["join"] = ([list(r) for r in obj[k]] for k in ("meet", "join"))
         if fault == "ragged":
             obj["join"][3].pop()
         else:
@@ -205,24 +208,18 @@ class TestCommands:
         assert code == 0
         assert len(json.loads(out)["result"]["space"]["points"]) == 17
 
-    def test_space_builds_frame_and_filters_once(self, capsys, boolean4_file, monkeypatch):
-        import stonework.cli
-        import stonework.spectra
-
-        calls = {"ideal_frame": 0, "j_prime_filters": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in (stonework.cli, stonework.spectra):
-            for name in calls:
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        code, out = run(capsys, "space", "--site", boolean4_file, "--coverage", "coherent")
+    @pytest.mark.parametrize("gamma, frames", [([], 0), (["--gamma", "0,3"], 1)],
+                             ids=["plain", "gamma"])
+    def test_space_lists_ideals_and_filters_once(self, capsys, boolean4_file, monkeypatch,
+                                                 gamma, frames):
+        # only --gamma reads meet and join, so only it builds the frame;
+        # the J-ideals and the filters are listed once either way
+        frame_calls = _count_calls(monkeypatch, order.frame_of_down_sets)
+        ideal_calls = _count_calls(monkeypatch, coverage.j_ideals)
+        filter_calls = _count_calls(monkeypatch, spectra.j_prime_filters)
+        code, out = run(capsys, "space", "--site", boolean4_file, "--coverage", "coherent", *gamma)
         assert code == 0
-        assert calls == {"ideal_frame": 1, "j_prime_filters": 1}
+        assert (len(frame_calls), len(ideal_calls), len(filter_calls)) == (frames, 1, 1)
 
     def test_bad_guard_env_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("STONEWORK_GUARD", "abc")
@@ -400,6 +397,7 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
          "ParseError"),
         ({"n": 2.0, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}, ["zariski", "--ring", "{f}"],
          "ParseError"),
+        (CHAIN2, ["space", "--site", "{f}", "--gamma", ""], "ParseError"),
     ],
     ids=["k-not-int", "zmod-not-int", "gamma-not-int", "gamma-past-top", "gamma-negative",
          "ring-rows-short", "covers-list", "family-string", "site-number",
@@ -407,7 +405,8 @@ CHAIN2 = {"elements": ["a", "b"], "leq": [[0, 1]]}
          "presentation-nested-parentheses", "presentation-long-meet",
          "free-mslat-negative", "free-frame-set-negative",
          "elements-string", "leq-float", "filters-leq-float", "leq-string", "leq-bool",
-         "leq-pair-string", "leq-triple", "ring-float", "ring-bool", "ring-n-float"],
+         "leq-pair-string", "leq-triple", "ring-float", "ring-bool", "ring-n-float",
+         "gamma-empty"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, content, argv, error):
     f = tmp_path / "input.json"
@@ -549,7 +548,7 @@ def test_one_emit_per_command_and_one_frame_per_ideal_frame(capsys, monkeypatch,
     commands = [(["ideal-frame", boolean4_file, "--coverage", "coherent"], 1),
                 (["ideal-frame", chain17_file], 1),
                 (["ideal-frame", boolean4_file, "--coverage", "k:x"], 0),
-                (["space", "--site", boolean4_file], None),
+                (["space", "--site", boolean4_file], 0),
                 (["filters", "--site", boolean4_file], None),
                 (["zariski", "--ring", "zmod:12"], None),
                 (["free", "--what", "mslat", "--gens", "3"], None),
@@ -560,6 +559,34 @@ def test_one_emit_per_command_and_one_frame_per_ideal_frame(capsys, monkeypatch,
         run(capsys, *argv)
         assert len(emits) == 1, argv
         assert frame_calls is None or len(frames) == frame_calls, argv
+
+
+def test_parser_state_does_not_carry_between_calls(capsys, boolean4_file):
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run(capsys, "space", "--site", boolean4_file, "--dot")
+    assert code == 0 and out.startswith("digraph")
+    code, out = run(capsys, "space", "--site", boolean4_file)
+    assert code == 0 and "space" in json.loads(out)["result"]
+
+
+def test_usage_error_then_valid_call(capsys, boolean4_file):
+    argv = ["space", "--site", boolean4_file, "--coverage", "coherent"]
+    cli.build_parser.cache_clear()
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    for bad in (["space", "--site", boolean4_file, "--dot", "--gamma"],
+                ["space", "--site", boolean4_file, "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == first
+
+
+def test_replaced_command_runs_after_the_parser_is_built(capsys, boolean4_file, monkeypatch):
+    run(capsys, "filters", "--site", boolean4_file)
+    monkeypatch.setattr(cli, "cmd_filters", lambda args: 7)
+    assert main(["filters", "--site", boolean4_file]) == 7
 
 
 _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])

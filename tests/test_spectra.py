@@ -4,14 +4,15 @@ import pytest
 
 from stonework.bits import bits, mask_of
 from stonework.corpus import all_grothendieck_topologies, posets_upto, random_site
-from stonework.coverage import named_coverage, saturate, trivial_coverage
-from stonework.errors import InvalidStructure
+from stonework.coverage import GrothendieckTopology, named_coverage, saturate, trivial_coverage
+from stonework.errors import CheckFailed, InvalidStructure
 from stonework.order import MonotoneMap, as_poset, iso_search, lower_sets, preorder_from_pairs
 from stonework.spectra import (
     TopSpace,
     alexandrov_space,
     completely_prime_filters,
     elemental_space,
+    enough_points,
     filter_bijection,
     gamma_subterminal_space,
     homeomorphism_search,
@@ -23,7 +24,12 @@ from stonework.spectra import (
     subterminal_space,
 )
 
-from oracles import brute_completely_prime_filters, brute_j_prime_filters
+from oracles import (
+    brute_completely_prime_filters,
+    brute_j_prime_filters,
+    frame_enough_points,
+    frame_subterminal_space,
+)
 
 
 def boolean4():
@@ -170,6 +176,49 @@ class TestSubterminalSpace:
             separated = len(set(ext)) == fr.n
             frame_iso = iso_search(sp.opens_frame(), fr) is not None
             assert frame_iso == separated
+
+
+class TestFrameFreeSpace:
+    """subterminal_space and enough_points read only the J-ideals; the
+    same space built from the ideal frame is the oracle."""
+
+    @staticmethod
+    def _agree(J):
+        sp = subterminal_space(J)
+        sp._check()
+        oracle = frame_subterminal_space(J)
+        assert sp == oracle and sp.labels == oracle.labels
+        assert enough_points(J) == frame_enough_points(J)
+
+    def test_every_topology_on_five_element_posets(self):
+        count = 0
+        for p in posets_upto(5):
+            if p.n != 5:
+                continue
+            for s in all_grothendieck_topologies(p):
+                self._agree(GrothendieckTopology(p, s, _checked=True))
+                count += 1
+        assert count == 63 * 2 ** 5
+
+    def test_random_sites_on_up_to_six_elements(self):
+        import random
+
+        rng = random.Random(17)
+        for _ in range(150):
+            p, J = random_site(6, rng)
+            self._agree(J)
+
+    @pytest.mark.parametrize("planted", [[0, 0b001, 0b010, 0b111], [0, 0b011, 0b110, 0b111]],
+                             ids=["no-union", "no-intersection"])
+    def test_planted_non_topology_refused(self, planted):
+        # on the 3-antichain the filters are the singletons, so each
+        # planted "ideal" is its own open; neither family is a topology
+        J = saturate(trivial_coverage(preorder_from_pairs(3, [])))
+        assert j_prime_filters(J) == [0b001, 0b010, 0b100]
+        with pytest.raises(InvalidStructure):
+            TopSpace(3, planted)
+        with pytest.raises(CheckFailed, match="does not generate"):
+            subterminal_space(J, ideals=planted)
 
 
 class TestGammaSubterminal:
