@@ -350,9 +350,10 @@ class Presentation:
         self.logic = logic
         k = len(self.generators)
         horn = "horn relations admit no joins and no 0" if logic == "horn" else None
-        for op, t1, t2 in self.relations:
-            _support(t1, k, horn)
-            _support(t2, k, horn)
+        # relations by highest generator + 1 (0: none), for relation_models
+        self._by_top = [[] for _ in range(k + 1)]
+        for rel in self.relations:
+            self._by_top[(_support(rel[1], k, horn) | _support(rel[2], k, horn)).bit_length()].append(rel)
 
 
 def _support(code, ngens, horn=None):
@@ -678,9 +679,7 @@ def relation_models(pres):
     extensions, with generator columns as values, one bit per extension.
     """
     k = len(pres.generators)
-    by_top = [[] for _ in range(k + 1)]
-    for rel in pres.relations:
-        by_top[max(max(rel[1]), max(rel[2]), -1) + 1].append(rel)
+    by_top = pres._by_top
     models = [0] if _passing(by_top[0], (), 1) else []
     for g in range(k):
         if not models:
@@ -693,10 +692,23 @@ def relation_models(pres):
 
 
 def _passing(rels, gens, top):
-    """The points below `top` where every relation holds, as a mask."""
+    """The points below `top` where every relation holds, as a mask.
+
+    A one-generator term is read as its column, and a right-hand side
+    that is one operation on two generators as the & or | of two columns,
+    without the stack evaluator: every relation of a D(a) presentation
+    has these shapes.  (Codes are checked, so two generators followed by
+    a third code are one operation on them.)
+    """
     ok = top
     for op, t1, t2 in rels:
-        v1, v2 = _value(t1, gens, top), _value(t2, gens, top)
+        v1 = gens[t1[0]] if len(t1) == 1 and t1[0] >= 0 else _value(t1, gens, top)
+        if len(t2) == 1 and t2[0] >= 0:
+            v2 = gens[t2[0]]
+        elif len(t2) == 3 and t2[0] >= 0 and t2[1] >= 0:
+            v2 = gens[t2[0]] & gens[t2[1]] if t2[2] == MEET else gens[t2[0]] | gens[t2[1]]
+        else:
+            v2 = _value(t2, gens, top)
         ok &= ~(v1 & ~v2) if op == "<=" else ~(v1 ^ v2)
     return ok
 

@@ -12,9 +12,10 @@ compared against on small rings.
 """
 
 from functools import cached_property
-from operator import or_
+from itertools import chain
+from operator import and_, or_
 
-from .bits import bits, mask_of, submasks
+from .bits import bits, mask_of, popcount, submasks, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import Coverage
@@ -37,31 +38,62 @@ class FiniteCommRing:
             self._check()
 
     def _check(self):
-        n = self.n
-        if len(self.add) != n or len(self.mul) != n:
-            raise InvalidStructure("operation tables must be n x n")
+        """The ring laws, with the associative and distributive laws read
+        off a generating set of (A, +) instead of all triples.
+
+        G is taken greedily (0 last): each element that the sums built so
+        far from G miss joins G, so every element is g or x + g with x
+        built earlier and g in G.  Light's test: let T be the set of b
+        with (x + b) + y = x + (b + y) for all x, y.  If b, c lie in T,
+        (x + (b + c)) + y = ((x + b) + c) + y = (x + b) + (c + y)
+        = x + (b + (c + y)) = x + ((b + c) + y), so T is closed under +;
+        checking T contains G then puts every element in T.  With + an
+        associative commutative operation, the set of y with
+        a(x + y) = ax + ay for all a, x is closed under + in the same way,
+        and so, given distributivity, is the set of z with
+        (ax)z = a(xz) for all a, x, since
+        (ax)(y + z) = (ax)y + (ax)z = a(xy) + a(xz) = a(x(y + z)).  So
+        each law is checked for g in G only: n^2 |G| cells, not n^3.
+        """
+        n, add, mul, zero, one = self.n, self.add, self.mul, self.zero, self.one
         rng = range(n)
+        for table in (add, mul):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise InvalidStructure("operation tables must be n x n")
+            cells = set(chain.from_iterable(table))
+            if set(map(type, cells)) - {int} or not cells <= set(rng):
+                raise InvalidStructure(f"table entries must be integers in 0..{n - 1}")
+        if not all(type(e) is int and 0 <= e < n for e in (zero, one)):
+            raise InvalidStructure("0 and 1 must be elements of the ring")
         for a in rng:
-            if self.add[a][self.zero] != a:
+            if add[a][zero] != a:
                 raise InvalidStructure("0 is not an additive identity")
-            if self.mul[a][self.one] != a:
+            if mul[a][one] != a:
                 raise InvalidStructure("1 is not a multiplicative identity")
-            if not any(self.add[a][b] == self.zero for b in rng):
+            if zero not in add[a]:
                 raise InvalidStructure(f"{a} has no additive inverse")
-            for b in rng:
-                if self.add[a][b] != self.add[b][a]:
-                    raise InvalidStructure("addition is not commutative")
-                if self.mul[a][b] != self.mul[b][a]:
-                    raise InvalidStructure("multiplication is not commutative")
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if self.add[self.add[a][b]][c] != self.add[a][self.add[b][c]]:
-                        raise InvalidStructure("addition is not associative")
-                    if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                        raise InvalidStructure("multiplication is not associative")
-                    if self.mul[a][self.add[b][c]] != self.add[self.mul[a][b]][self.mul[a][c]]:
-                        raise InvalidStructure("multiplication does not distribute")
+        if tuple(zip(*add)) != add:
+            raise InvalidStructure("addition is not commutative")
+        if tuple(zip(*mul)) != mul:
+            raise InvalidStructure("multiplication is not commutative")
+        gens, built = [], set()
+        for a in sorted(rng, key=zero.__eq__):
+            if a not in built:
+                gens.append(a)
+                built = closed_family(built | {a}, gens, lambda x, g: add[x][g])
+        # every row below is a function of y (or of x), read in one map
+        for g in gens:
+            for x in rng:
+                if add[add[x][g]] != tuple(map(add[x].__getitem__, add[g])):
+                    raise InvalidStructure("addition is not associative")
+        for g in gens:
+            for a in rng:
+                if [*map(mul[a].__getitem__, add[g])] != [*map(add[mul[a][g]].__getitem__, mul[a])]:
+                    raise InvalidStructure("multiplication does not distribute")
+        for g in gens:
+            for a in rng:
+                if [*map(mul[g].__getitem__, mul[a])] != [*map(mul[a].__getitem__, mul[g])]:
+                    raise InvalidStructure("multiplication is not associative")
 
     def label(self, a):
         return self.labels[a]
@@ -172,9 +204,10 @@ class RingIdeal:
             for r in range(ring.n):
                 if not (members >> ring.mul[a][r]) & 1:
                     raise InvalidStructure("does not absorb multiplication")
-        if prime is not None and prime != is_prime_ideal(ring, members):
+        is_prime = members in prime_ideals(ring)
+        if prime is not None and prime != is_prime:
             raise InvalidStructure("primality flag is wrong")
-        self.prime = is_prime_ideal(ring, members) if prime is None else prime
+        self.prime = is_prime
 
     def __contains__(self, a):
         return bool((self.members >> a) & 1)
@@ -187,17 +220,27 @@ class RingIdeal:
 def ideal_generated(ring, gens):
     """The ideal generated by a set: the sum of principal ideals.
 
-    In a commutative unital ring the principal ideal Ag is closed under
-    addition, so the sumset Ag_1 + ... + Ag_k is already an ideal.  A
-    generator that already lies in the running sum adds nothing.
+    In a commutative unital ring the principal ideal Ag is an additive
+    subgroup, so the sum of the running sum S with it is already an
+    ideal.  For additive subgroups H, K, H + K is the union of the
+    cosets H + x over x in K; cosets of H are equal or disjoint, so an x
+    already in the union adds nothing, and each new coset is one
+    translate of H.  H is the larger of S and Ag.  A generator that
+    already lies in S adds nothing.
     """
-    out = {ring.zero}
+    out = 1 << ring.zero
     for g in gens:
-        if g in out:
+        if (out >> g) & 1:
             continue
-        multiples = set(ring.mul[g])
-        out = {ring.add[a][b] for a in out for b in multiples}
-    return mask_of(out)
+        big, small = out, mask_of(ring.mul[g])
+        if popcount(big) < popcount(small):
+            big, small = small, big
+        members = list(bits(big))
+        out = big
+        for x in bits(small):
+            if not (out >> x) & 1:
+                out |= mask_of(map(ring.add[x].__getitem__, members))
+    return out
 
 
 def all_ideals(ring):
@@ -208,42 +251,59 @@ def all_ideals(ring):
     return sorted(ideals)
 
 
-def is_prime_ideal(ring, mask):
-    if (mask >> ring.one) & 1:
-        return False
-    for a in range(ring.n):
-        for b in range(ring.n):
-            if (mask >> ring.mul[a][b]) & 1 and not (mask >> a) & 1 and not (mask >> b) & 1:
-                return False
-    return True
-
-
-def prime_ideals(ring):
-    return [m for m in all_ideals(ring) if is_prime_ideal(ring, m)]
-
-
 def proper_ideals(ring):
     return [m for m in all_ideals(ring) if not (m >> ring.one) & 1]
 
 
+def prime_ideals(ring):
+    """The prime ideals, ascending: the maximal proper ideals.
+
+    A finite integral domain is a field: multiplication by x != 0 is
+    injective on a finite set, hence onto, so xy = 1 for some y.  So for
+    a prime P the quotient A/P is a field and P is maximal; a maximal
+    ideal is prime in any commutative ring.
+    """
+    proper = proper_ideals(ring)
+    return [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
+
+
 def prime_filters_ring(ring, primes=None):
-    """Complements of prime ideals (found here unless given); the filter
-    axioms are rechecked."""
+    """Complements of prime ideals (found here unless given), ascending.
+
+    The filter axioms are rechecked for all of them in one pass over the
+    tables: element a holds the mask mem[a] of the filters containing
+    it, so the product clause is mem[ab] == mem[a] & mem[b] and the sum
+    clause is mem[a + b] within mem[a] | mem[b].
+    """
     full = (1 << ring.n) - 1
-    out = []
-    for P in primes if primes is not None else prime_ideals(ring):
-        S = full & ~P
-        if not (S >> ring.one) & 1 or (S >> ring.zero) & 1:
-            raise CheckFailed("prime filter fails the unit clauses")
-        for a in range(ring.n):
-            for b in range(ring.n):
-                inS = (S >> ring.mul[a][b]) & 1
-                if inS != ((S >> a) & 1 and (S >> b) & 1):
-                    raise CheckFailed("prime filter fails the product clause")
-                if (S >> ring.add[a][b]) & 1 and not ((S >> a) & 1 or (S >> b) & 1):
-                    raise CheckFailed("prime filter fails the sum clause")
-        out.append(S)
-    return sorted(out)
+    out = sorted(full & ~P for P in (primes if primes is not None else prime_ideals(ring)))
+    mem = transpose(out, ring.n)
+    if mem[ring.one] != (1 << len(out)) - 1 or mem[ring.zero]:
+        raise CheckFailed("prime filter fails the unit clauses")
+    get, meets = mem.__getitem__, {}
+    for a, row in enumerate(ring.mul):
+        m = mem[a]
+        if m not in meets:
+            meets[m] = [m & x for x in mem]
+        if [*map(get, row)] != meets[m]:
+            raise CheckFailed("prime filter fails the product clause")
+    if not _sum_clause_holds(ring, mem):
+        raise CheckFailed("prime filter fails the sum clause")
+    return out
+
+
+def _sum_clause_holds(ring, mem):
+    """Whether mem[a + b] lies within mem[a] | mem[b] for all a, b: with
+    mem[a] the mask of the filters holding a, no filter holds a sum and
+    neither summand.  One map over each row of the addition table."""
+    get, misses = mem.__getitem__, {}
+    for a, row in enumerate(ring.add):
+        m = mem[a]
+        if m not in misses:
+            misses[m] = [~(m | x) for x in mem]
+        if any(map(and_, map(get, row), misses[m])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -251,48 +311,44 @@ def prime_filters_ring(ring, primes=None):
 
 
 class SMonoid:
-    """The idempotent quotient of (A, *), as a meet-semilattice."""
+    """The quotient of (A, *) by its least semilattice congruence (the
+    least congruence with a ~ a*a), as a meet-semilattice.
+
+    Each class holds exactly one idempotent, and a lies in the class of
+    the idempotent among its powers (Tamura-Kimura; Clifford-Preston,
+    The Algebraic Theory of Semigroups, vol. 1, 4.3).  At finite scale:
+    the powers of a end in a cycle, a cyclic group whose identity e_a is
+    the one idempotent power of a.  For k past both tails and a multiple
+    of both cycle lengths, (ab)^k = a^k b^k = e_a e_b, an idempotent, so
+    e_ab = e_a e_b: a -> e_a is a homomorphism onto the idempotents, and
+    its kernel is a congruence with an idempotent quotient.  Any
+    congruence with a ~ a*a has a ~ a^k = e_a, so it contains that
+    kernel, which is therefore the least.  Classes are numbered by least
+    member.
+
+    rep_powers[x] is the mask of the powers of the least member of class
+    x, and `ideal(mask)` caches the ideal generated by the members of the
+    classes in a mask of classes.
+    """
 
     def __init__(self, ring):
         self.ring = ring
-        parent = list(range(ring.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-                return True
-            return False
-
-        changed = True
-        while changed:
-            changed = False
-            for a in range(ring.n):
-                if union(a, ring.mul[a][a]):
-                    changed = True
-            # congruence: a ~ b forces a*c ~ b*c
-            reps = {}
-            for a in range(ring.n):
-                reps.setdefault(find(a), []).append(a)
-            for block in reps.values():
-                lead = block[0]
-                for other in block[1:]:
-                    for c in range(ring.n):
-                        if union(ring.mul[lead][c], ring.mul[other][c]):
-                            changed = True
-        roots = sorted({find(a) for a in range(ring.n)})
-        ridx = {r: i for i, r in enumerate(roots)}
-        self.pi = tuple(ridx[find(a)] for a in range(ring.n))
-        self.classes = tuple(
-            mask_of(a for a in range(ring.n) if self.pi[a] == i) for i in range(len(roots))
-        )
-        self.n = len(roots)
+        index, pi, powers = {}, [], []
+        for a in range(ring.n):
+            chain = _powers_till_cycle(ring, a)
+            e = next(p for p in chain if ring.mul[p][p] == p)
+            if e not in index:
+                index[e] = len(index)
+                powers.append(mask_of(chain))
+            pi.append(index[e])
+        self.pi = tuple(pi)
+        self.rep_powers = tuple(powers)
+        self.n = len(index)
+        classes = [0] * self.n
+        for a, i in enumerate(pi):
+            classes[i] |= 1 << a
+        self.classes = tuple(classes)
+        self._ideals = {}
         self.mul = tuple(
             tuple(self.pi[ring.mul[next(bits(self.classes[i]))][next(bits(self.classes[j]))]]
                   for j in range(self.n))
@@ -309,6 +365,14 @@ class SMonoid:
             for j in range(self.n):
                 if self.poset.glb((1 << i) | (1 << j)) != self.mul[i][j]:
                     raise CheckFailed("product is not the meet")
+
+    def ideal(self, mask):
+        if mask not in self._ideals:
+            members = 0
+            for x in bits(mask):
+                members |= self.classes[x]
+            self._ideals[mask] = ideal_generated(self.ring, bits(members))
+        return self._ideals[mask]
 
 
 def s_monoid(ring):
@@ -367,10 +431,7 @@ def _powers_till_cycle(ring, a):
 def power_combination_covers(ring, s, x, sieve_mask):
     """The arithmetic covering test: some power of a representative of x
     is a linear combination of elements whose classes lie in the sieve."""
-    rep = next(bits(s.classes[x]))
-    y = [a for a in range(ring.n) if (sieve_mask >> s.pi[a]) & 1 and s.poset.leq(s.pi[a], x)]
-    ideal = ideal_generated(ring, y) if y else (1 << ring.zero)
-    return any((ideal >> p) & 1 for p in _powers_till_cycle(ring, rep))
+    return s.ideal(sieve_mask & s.poset.dn[x]) & s.rep_powers[x] != 0
 
 
 def zariski_closure(ring, s, mask):
@@ -408,12 +469,14 @@ def zariski_presentation(ring):
 
 def _d_presentation(ring, mul_op):
     """Generators D(a) with D(1) = 1, D(0) = 0, D(ab) `mul_op` D(a) & D(b)
-    and D(a+b) <= D(a) | D(b)."""
-    rels = [("=", (ring.one,), (ONE,)), ("=", (ring.zero,), (ZERO,))]
+    and D(a+b) <= D(a) | D(b); the term D(c) is one shared code (c,)."""
+    d = [(c,) for c in range(ring.n)]
+    rels = [("=", d[ring.one], (ONE,)), ("=", d[ring.zero], (ZERO,))]
     for a in range(ring.n):
+        mul_a, add_a = ring.mul[a], ring.add[a]
         for b in range(a, ring.n):
-            rels.append((mul_op, (ring.mul[a][b],), (a, b, MEET)))
-            rels.append(("<=", (ring.add[a][b],), (a, b, JOIN)))
+            rels.append((mul_op, d[mul_a[b]], (a, b, MEET)))
+            rels.append(("<=", d[add_a[b]], (a, b, JOIN)))
     return Presentation([f"d{a}" for a in range(ring.n)], rels, "coherent")
 
 
@@ -474,8 +537,8 @@ def zariski_point_space(ring, s=None, frame=None, primes=None):
         F = mask_of(s.pi[a] for a in bits(S))
         if mask_of(a for a in range(ring.n) if (F >> s.pi[a]) & 1) != S:
             raise CheckFailed("a ring prime filter is not a union of classes")
-        _check_c_prime(ring, s, F)
         filters.append(F)
+    _check_c_prime(ring, s, filters)
     filters = sorted(set(filters))
     if len(filters) != len(ring_filters):
         raise CheckFailed("class map identified two distinct prime filters")
@@ -487,25 +550,24 @@ def zariski_point_space(ring, s=None, frame=None, primes=None):
     return TopSpace(len(filters), opens, labels=labels), filters
 
 
-def _check_c_prime(ring, s, F):
+def _check_c_prime(ring, s, filters):
     """Filter axioms plus the binary sum clause on the underlying ring
-    subset, which by induction gives the full covering clause."""
+    subset, which by induction gives the full covering clause; checked
+    for all `filters` at once, each class of S(A) holding the mask of the
+    filters that contain it."""
     po = s.poset
-    if F == 0:
+    if 0 in filters:
         raise CheckFailed("empty filter")
-    for a in bits(F):
-        if po.up[a] & ~F:
+    mem = transpose(filters, s.n)
+    for x in range(s.n):
+        if any(mem[x] & ~mem[y] for y in bits(po.up[x])):
             raise CheckFailed("filter is not up-closed")
-        for b in bits(F):
-            if not (F >> s.mul[a][b]) & 1:
-                raise CheckFailed("filter is not meet-closed")
-    if (F >> s.pi[ring.zero]) & 1:
+        if any(mem[x] & mem[y] & ~mem[s.mul[x][y]] for y in range(s.n)):
+            raise CheckFailed("filter is not meet-closed")
+    if mem[s.pi[ring.zero]]:
         raise CheckFailed("filter contains the class of 0")
-    for a in range(ring.n):
-        for b in range(ring.n):
-            if (F >> s.pi[ring.add[a][b]]) & 1:
-                if not ((F >> s.pi[a]) & 1 or (F >> s.pi[b]) & 1):
-                    raise CheckFailed("filter misses a sum decomposition")
+    if not _sum_clause_holds(ring, [mem[x] for x in s.pi]):
+        raise CheckFailed("filter misses a sum decomposition")
 
 
 def spectra_homeomorphism(ring, site=None):
@@ -536,7 +598,8 @@ def spectra_homeomorphism(ring, site=None):
 class ZariskiSite:
     """Caches for repeated Zariski computations over one ring: the monoid
     quotient, the frame Id_C(S(A)) and the prime ideals (both found on
-    first use), power chains, generated ideals, and C-ideal closures."""
+    first use), the powers of each element as a mask, generated ideals,
+    and C-ideal closures."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -555,15 +618,13 @@ class ZariskiSite:
 
     def powers(self, a):
         if a not in self._powers:
-            self._powers[a] = _powers_till_cycle(self.ring, a)
+            self._powers[a] = mask_of(_powers_till_cycle(self.ring, a))
         return self._powers[a]
 
     def ideal(self, bs):
         key = frozenset(bs)
         if key not in self._ideals:
-            self._ideals[key] = (
-                ideal_generated(self.ring, sorted(key)) if key else (1 << self.ring.zero)
-            )
+            self._ideals[key] = ideal_generated(self.ring, sorted(key))
         return self._ideals[key]
 
     def closure(self, mask):
@@ -579,8 +640,7 @@ def radical_membership(ring, a, bs, site=None):
     by D(a) <= D(b_1) v ... v D(b_r) in Id_C(S(A)); the two must agree.
     """
     site = site if site is not None else ZariskiSite(ring)
-    ideal = site.ideal(bs)
-    ring_side = any((ideal >> p) & 1 for p in site.powers(a))
+    ring_side = site.ideal(bs) & site.powers(a) != 0
     pi, s = site.pi, site.s
     lhs = site.closure(s.poset.dn[pi[a]])
     rhs = site.closure(mask_of(pi[b] for b in bs))

@@ -6,13 +6,15 @@ fixpoint of the saturation rules, the fixpoint of the closure rule, the
 2**n scans for prime filters, completely prime filters and supercompact
 elements, the antichain-cover search for C-compact, indecomposable and
 directedly irreducible elements, the congruence of S(A) as a
-transitive closure, and the congruence of a presented distributive
-lattice as a fixpoint of union-find rounds.  They are exponential and
-only meant for tiny carriers.  The rest are the direct forms of the
-table builders: bits by shifting, relations pair by pair, frame tables
-cell by cell, the cubic check that tables make a distributive
-lattice, and the subterminal space from the ideal frame with its
-pairwise topology check.  Terms are also kept here as trees, with a recursive
+transitive closure and as a fixpoint of union-find rounds, the
+congruence of a presented distributive lattice as a fixpoint of
+union-find rounds, prime ideals by the product scan, and the ring laws
+by the loop over all triples.  They are exponential, or of higher
+degree than the fast paths, and only meant for small carriers.  The
+rest are the direct forms of the table builders: bits by shifting,
+relations pair by pair, frame tables cell by cell, the cubic check that
+tables make a distributive lattice, and the subterminal space from the
+ideal frame with its pairwise topology check.  Terms are also kept here as trees, with a recursive
 evaluator, a conversion to the library's postfix codes and a
 one-assignment evaluator of those codes; and the lattice corpus by its
 literal definition.
@@ -28,6 +30,7 @@ from stonework.errors import CheckFailed, InvalidStructure
 from stonework.order import lower_sets, set_label
 from stonework.presentations import JOIN, MEET, ONE, ZERO
 from stonework.spectra import TopSpace, is_j_prime_filter, j_prime_filters, space_from_subbasis
+from stonework.zariski import all_ideals
 
 
 def brute_down_sets(p, within=None):
@@ -481,6 +484,80 @@ def brute_s_congruence(ring):
         classes.append(block)
         seenm |= block
     return sorted(classes)
+
+
+def fixpoint_s_congruence(ring):
+    """Classes of the least congruence of (A, *) with a ~ a*a, as masks
+    in the order of their least members: union-find rounds that merge
+    each a with a*a and, for each class, a*c with b*c for every member
+    b, until a round merges nothing."""
+    parent = list(range(ring.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(ring.n):
+            changed |= union(a, ring.mul[a][a])
+        blocks = {}
+        for a in range(ring.n):
+            blocks.setdefault(find(a), []).append(a)
+        for block in blocks.values():
+            for other in block[1:]:
+                for c in range(ring.n):
+                    changed |= union(ring.mul[block[0]][c], ring.mul[other][c])
+    roots = sorted({find(a) for a in range(ring.n)})
+    return [mask_of(a for a in range(ring.n) if find(a) == r) for r in roots]
+
+
+def is_prime_ideal(ring, mask):
+    """Proper, and ab in the ideal puts a or b in it: the scan of all
+    products."""
+    if (mask >> ring.one) & 1:
+        return False
+    for a in range(ring.n):
+        for b in range(ring.n):
+            if (mask >> ring.mul[a][b]) & 1 and not (mask >> a) & 1 and not (mask >> b) & 1:
+                return False
+    return True
+
+
+def brute_prime_ideals(ring):
+    """The prime ideals among all ideals, ascending, by the product scan."""
+    return [m for m in all_ideals(ring) if is_prime_ideal(ring, m)]
+
+
+RING_LAWS = ("addition is not associative", "multiplication is not associative",
+             "multiplication does not distribute")
+
+
+def brute_ring_laws(ring):
+    """The subset of RING_LAWS that fails somewhere, by the loop over all
+    triples a, b, c."""
+    add, mul, rng = ring.add, ring.mul, range(ring.n)
+    broken = set()
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    broken.add(RING_LAWS[0])
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    broken.add(RING_LAWS[1])
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    broken.add(RING_LAWS[2])
+    return broken
 
 
 def fixpoint_congruence_roots(tables, pairs):

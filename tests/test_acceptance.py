@@ -364,7 +364,7 @@ def _prime_products(bound):
 
 
 def test_criterion_6_zariski():
-    for n in range(1, 61):
+    for n in range(1, 91):
         spectra_homeomorphism(ring_zmod(n))
     for ps in _prime_products(36):
         ring = reduce(ring_product, (ring_zmod(q) for q in ps[1:]), ring_zmod(ps[0]))
@@ -380,7 +380,7 @@ def test_criterion_6_zariski():
                 for b2 in range(n):
                     radical_membership(r, a, [b1, b2], site=site)
                     triples += 1
-    for n in range(1, 61):
+    for n in range(1, 91):
         zariski_lattice(ring_zmod(n))
     for n in range(1, 31):
         r = ring_zmod(n)
@@ -389,8 +389,8 @@ def test_criterion_6_zariski():
         for x in range(po.n):
             for sieve in [m for m in submasks(po.dn[x]) if po.is_down_closed(m)]:
                 assert (sieve in J.sieves[x]) == power_combination_covers(r, s, x, sieve)
-    report(6, f"homeomorphisms to n=60 and 35 prime products; {triples} radical triples; "
-              "lattice constructions agree to n=60 and saturation oracle to n=30")
+    report(6, f"homeomorphisms to n=90 and 35 prime products; {triples} radical triples; "
+              "lattice constructions agree to n=90 and saturation oracle to n=30")
 
 
 def test_criterion_7_logic_translations():

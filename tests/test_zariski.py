@@ -1,14 +1,16 @@
 """zariski: rings, S(A), the coverage, L(A), spectra, radicals, op-ideals."""
 
-from functools import reduce
+import random
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
 
-from stonework.bits import mask_of
+from stonework.bits import bits, mask_of
 from stonework.coverage import j_closure, saturate
-from stonework.errors import GuardExceeded, InvalidStructure
+from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
+from stonework.presentations import relation_models
 from stonework.spectra import j_prime_filters
 from stonework import zariski
 from stonework.zariski import (
@@ -34,9 +36,72 @@ from stonework.zariski import (
     zariski_ideal_frame,
     zariski_lattice,
     zariski_point_space,
+    zariski_presentation,
 )
 
-from oracles import brute_s_congruence, cell_frame_tables
+from oracles import (
+    RING_LAWS,
+    brute_prime_ideals,
+    brute_ring_laws,
+    brute_s_congruence,
+    cell_frame_tables,
+    eval_code,
+    fixpoint_s_congruence,
+)
+
+
+def prime_field_products(bound):
+    """Z/q1 x ... x Z/qk for primes q1 <= ... <= qk, k >= 2, at most `bound` elements."""
+    primes = [q for q in range(2, bound // 2 + 1) if all(q % d for d in range(2, q))]
+    for k in range(2, bound.bit_length()):
+        for qs in combinations_with_replacement(primes, k):
+            if prod(qs) <= bound:
+                yield reduce(ring_product, map(ring_zmod, qs))
+
+
+def non_reduced_products():
+    """Z/4 x Z/2, Z/4 x Z/3 and Z/9 x Z/2, which have nonzero nilpotents."""
+    return [ring_product(ring_zmod(p), ring_zmod(q)) for p, q in ((4, 2), (4, 3), (9, 2))]
+
+
+@cache
+def oracle_rings():
+    """Z/n for n <= 120, every product of prime fields with at most 36
+    elements, and the non-reduced products."""
+    return tuple([ring_zmod(n) for n in range(1, 121)] + list(prime_field_products(36))
+                 + non_reduced_products())
+
+
+def checked(ring):
+    """The ring's tables through the checked constructor."""
+    return FiniteCommRing(ring.n, ring.add, ring.mul, ring.zero, ring.one)
+
+
+def f2_algebra(squares):
+    """Tables of a commutative unital F2-algebra on the basis 1, x, y (bits
+    0, 1, 2 of an element), multiplied bilinearly from the products
+    `squares[(i, j)]` of basis elements i <= j with i, j in {1, 2}."""
+    basis = {(0, 0): 1, (0, 1): 2, (0, 2): 4, **squares}
+
+    def mul(u, v):
+        out = 0
+        for i in bits(u):
+            for j in bits(v):
+                out ^= basis[min(i, j), max(i, j)]
+        return out
+
+    return [[a ^ b for b in range(8)] for a in range(8)], [[mul(a, b) for b in range(8)] for a in range(8)]
+
+
+# tables that break exactly one ring law, with 0 and 1 as elements 0 and 1
+_ONE_LAW_BROKEN = {
+    # a commutative loop under +, with the multiplication of Z/3
+    "addition is not associative": (3, [[0, 1, 2], [1, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]]),
+    # x*x = y, x*y = 1, y*y = 0: (x*x)*y = 0 but x*(x*y) = x
+    "multiplication is not associative": (8, *f2_algebra({(1, 1): 4, (1, 2): 1, (2, 2): 0})),
+    # Z/3 under + with 2*2 = 2: 2*(1+1) = 2 but 2*1 + 2*1 = 1
+    "multiplication does not distribute": (3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 0, 0], [0, 1, 2], [0, 2, 2]]),
+}
 
 
 class TestRings:
@@ -61,6 +126,84 @@ class TestRings:
         with pytest.raises(InvalidStructure):
             FiniteCommRing(2, [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
 
+    @pytest.mark.parametrize("args", [
+        (2, [[0, 1], [1]], [[0, 0], [0, 1]], 0, 1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, 1, 1]], 0, 1),
+        (2, [[0, 1]], [[0, 0], [0, 1]], 0, 1),
+        (2, [[0, 1], [1, 2]], [[0, 0], [0, 1]], 0, 1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, -1]], 0, 1),
+        (2, [[0, 1], [1, -2]], [[0, 0], [0, 1]], 0, 1),
+        (2, [[0, True], [True, 0]], [[0, 0], [0, 1]], 0, 1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, 1.0]], 0, 1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 7, 1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, -1),
+        (2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, True),
+        (0, [], [], 0, 0),
+    ], ids=["ragged-add", "ragged-mul", "short", "entry-too-big", "entry-negative",
+            "entry-negative-in-range-from-the-end", "entry-bool", "entry-float",
+            "zero-outside", "one-negative", "one-bool", "empty"])
+    def test_malformed_tables_refused(self, args):
+        with pytest.raises(InvalidStructure):
+            FiniteCommRing(*args)
+
+    def test_light_test_matches_triple_loop_on_rings(self):
+        # the loop costs n^3, so it runs on the rings with at most 20 elements
+        for r in oracle_rings():
+            checked(r)  # raises on a law it finds broken
+            assert r.n > 20 or brute_ring_laws(r) == set(), r.n
+
+    @pytest.mark.parametrize("law", RING_LAWS)
+    def test_each_law_message_fires_alone(self, law):
+        n, add, mul = _ONE_LAW_BROKEN[law]
+        unchecked = FiniteCommRing(n, add, mul, 0, 1, _checked=True)
+        assert brute_ring_laws(unchecked) == {law}
+        with pytest.raises(InvalidStructure, match=law):
+            FiniteCommRing(n, add, mul, 0, 1)
+
+    def test_distributivity_is_checked_at_every_generator(self):
+        # + is XOR on three bits, so G = [1, 2, 4]; a(x + 1) = ax + a for
+        # all a, x, so only the later generators show that * does not
+        # distribute (it is not associative either)
+        add = [[a ^ b for b in range(8)] for a in range(8)]
+        mul = [[0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7], [0, 2, 0, 2, 0, 2, 0, 2],
+               [0, 3, 2, 1, 4, 7, 6, 5], [0, 4, 0, 4, 0, 4, 0, 4], [0, 5, 2, 7, 4, 1, 6, 3],
+               [0, 6, 0, 6, 0, 6, 1, 7], [0, 7, 2, 5, 4, 3, 7, 0]]
+        assert all(mul[a][x ^ 1] == mul[a][x] ^ a for a in range(8) for x in range(8))
+        assert brute_ring_laws(FiniteCommRing(8, add, mul, 0, 1, _checked=True)) == set(RING_LAWS[1:])
+        with pytest.raises(InvalidStructure, match="multiplication does not distribute"):
+            FiniteCommRing(8, add, mul, 0, 1)
+
+    def test_corrupted_tables_match_triple_loop(self):
+        # one entry and its mirror set to a random value (so + and * stay
+        # commutative), off the identity's row and column; about one in n
+        # draws keeps the entry, so sound tables are in the sweep too
+        rng = random.Random(19)
+        bases = list(prime_field_products(18)) + non_reduced_products()
+        compared = faulty = 0
+        for _ in range(230):
+            base = rng.choice(bases)
+            tables = {"add": [list(r) for r in base.add], "mul": [list(r) for r in base.mul]}
+            name = rng.choice(["add", "mul"])
+            ident = base.zero if name == "add" else base.one
+            a, b = rng.sample([x for x in range(base.n) if x != ident], 2) if base.n > 2 else (1, 1)
+            tables[name][a][b] = tables[name][b][a] = rng.randrange(base.n)
+            args = (base.n, tables["add"], tables["mul"], base.zero, base.one)
+            try:
+                FiniteCommRing(*args)
+                msg = None
+            except InvalidStructure as exc:
+                msg = str(exc)
+            if msg is not None and msg not in RING_LAWS:
+                continue  # a corruption that took away an additive inverse
+            broken = brute_ring_laws(FiniteCommRing(*args, _checked=True))
+            # addition first, then distributivity, then multiplication
+            first = next((law for law in (RING_LAWS[0], RING_LAWS[2], RING_LAWS[1]) if law in broken), None)
+            assert msg == first, (base.n, name, a, b, broken)
+            compared += 1
+            faulty += msg is not None
+        # 223 compared, 196 of them faulty
+        assert compared >= 200 and compared - 50 <= faulty <= compared - 10, (compared, faulty)
+
 
 def naive_ideal(ring, gens):
     """Oracle: grow the set until it is closed under + and under
@@ -72,15 +215,6 @@ def naive_ideal(ring, gens):
         if grown == out:
             return mask_of(out)
         out = grown
-
-
-def prime_field_products(bound):
-    """Z/q1 x ... x Z/qk for primes q1 <= ... <= qk, k >= 2, at most `bound` elements."""
-    primes = [q for q in range(2, bound // 2 + 1) if all(q % d for d in range(2, q))]
-    for k in range(2, bound.bit_length()):
-        for qs in combinations_with_replacement(primes, k):
-            if prod(qs) <= bound:
-                yield reduce(ring_product, map(ring_zmod, qs))
 
 
 class TestIdeals:
@@ -119,6 +253,22 @@ class TestIdeals:
         full = (1 << r.n) - 1
         assert sorted(full & ~P for P in prime_ideals(r)) == prime_filters_ring(r)
 
+    def test_maximal_ideals_match_product_scan(self):
+        for r in oracle_rings():
+            assert prime_ideals(r) == brute_prime_ideals(r), r.n
+
+    @pytest.mark.parametrize("planted, message", [
+        (mask_of(range(6)), "unit clauses"),        # holds 1: its complement misses 1
+        (0, "unit clauses"),                        # its complement holds 0
+        (mask_of([0]), "product clause"),           # 2 * 3 = 0, not prime
+        (mask_of([0, 2, 3, 4]), "sum clause"),      # the units {1, 5}: 2 + 3 = 5
+    ])
+    def test_prime_filter_recheck_planted_faults(self, planted, message):
+        r = ring_zmod(6)
+        good = prime_ideals(r)
+        with pytest.raises(CheckFailed, match=f"prime filter fails the {message}"):
+            prime_filters_ring(r, good + [planted])
+
 
 class TestSMonoid:
     def test_zmod2(self):
@@ -143,6 +293,11 @@ class TestSMonoid:
             r = ring_zmod(n)
             po, pi, s = s_monoid(r)
             assert sorted(s.classes) == brute_s_congruence(r)
+
+    def test_idempotent_classes_match_union_find_fixpoint(self):
+        # same classes, numbered in the same order (by least member)
+        for r in oracle_rings():
+            assert list(s_monoid(r)[2].classes) == fixpoint_s_congruence(r), r.n
 
     def test_product_monoid(self):
         r = ring_product(ring_zmod(2), ring_zmod(2))
@@ -212,6 +367,18 @@ class TestLattice:
         for n in range(1, 16):
             zariski_lattice(ring_zmod(n))  # raises on mismatch
 
+    def test_d_presentation_models_match_brute_force(self):
+        # every relation has the shapes _passing reads without the evaluator
+        for n in range(1, 9):
+            pres = zariski_presentation(ring_zmod(n))
+
+            def holds(rel, m):
+                v1, v2 = eval_code(rel[1], m), eval_code(rel[2], m)
+                return v1 <= v2 if rel[0] == "<=" else v1 == v2
+
+            want = [m for m in range(1 << n) if all(holds(rel, m) for rel in pres.relations)]
+            assert relation_models(pres) == want, n
+
     def test_frame_tables_match_cell_loop(self):
         for n in range(1, 41):
             r = ring_zmod(n)
@@ -256,6 +423,22 @@ class TestSpectra:
             sp, filters = zariski_point_space(r, s)
             J = saturate(zariski_coverage(r, s))
             assert filters == j_prime_filters(J)
+
+    @pytest.mark.parametrize("classes, message", [
+        ([], "empty filter"),
+        (["2"], "not up-closed"),                # misses [1] above [2]
+        (["2", "3", "1"], "not meet-closed"),     # [2] & [3] = [0]
+        (["0", "2", "3", "1"], "class of 0"),
+        (["1"], "misses a sum decomposition"),  # 1 = 3 + 4 with neither a unit
+    ])
+    def test_c_prime_recheck_planted_faults(self, classes, message):
+        r = ring_zmod(6)
+        po, pi, s = s_monoid(r)
+        by_label = {po.label(x)[1:-1]: x for x in range(po.n)}
+        planted = mask_of(by_label[c] for c in classes)
+        good = zariski_point_space(r, s)[1]
+        with pytest.raises(CheckFailed, match=message):
+            zariski._check_c_prime(r, s, good + [planted])
 
     def test_product_ring_homeomorphism(self):
         r = ring_product(ring_zmod(2), ring_zmod(3))
