@@ -355,6 +355,11 @@ class Presentation:
         for rel in self.relations:
             self._by_top[(_support(rel[1], k, horn) | _support(rel[2], k, horn)).bit_length()].append(rel)
 
+    def buckets(self):
+        """The relations by highest generator + 1 (0: none), one list per
+        bucket in that order: what relation_models reads."""
+        return iter(self._by_top)
+
 
 def _support(code, ngens, horn=None):
     """The mask of the generators a term code mentions, once the code is
@@ -677,15 +682,18 @@ def relation_models(pres):
     and keeps the extensions that pass the relations whose highest
     generator is g.  Each such relation is evaluated once over all the
     extensions, with generator columns as values, one bit per extension.
+    The relations are read from `pres.buckets()` one bucket per step, so
+    a presentation that makes its buckets as they are read is never held.
     """
-    k = len(pres.generators)
-    by_top = pres._by_top
-    models = [0] if _passing(by_top[0], (), 1) else []
-    for g in range(k):
+    buckets = pres.buckets()
+    models = [0] if _passing(next(buckets), {ONE: 1, ZERO: 0}, 1) else []
+    cols, ok = {}, 0
+    for g, rels in enumerate(buckets):
         if not models:
             break
         n = len(models)
-        ok = _passing(by_top[g + 1], _Columns(models, g), (1 << 2 * n) - 1)
+        cols = _Columns(models, g, cols, ok)
+        ok = _passing(rels, cols, (1 << 2 * n) - 1)
         bit = 1 << g
         models = [models[j] for j in bits(ok & ((1 << n) - 1))] + [models[j] | bit for j in bits(ok >> n)]
     return models
@@ -694,38 +702,62 @@ def relation_models(pres):
 def _passing(rels, gens, top):
     """The points below `top` where every relation holds, as a mask.
 
-    A one-generator term is read as its column, and a right-hand side
-    that is one operation on two generators as the & or | of two columns,
-    without the stack evaluator: every relation of a D(a) presentation
-    has these shapes.  (Codes are checked, so two generators followed by
-    a third code are one operation on them.)
+    `gens` values the constants too (ONE as `top`, ZERO as 0).  A
+    relation of one code against three, one operation on two codes, the
+    shape of every relation of a D(a) presentation, is read straight
+    from the values; other terms go through the stack evaluator.
     """
-    ok = top
+    bad = 0
     for op, t1, t2 in rels:
-        v1 = gens[t1[0]] if len(t1) == 1 and t1[0] >= 0 else _value(t1, gens, top)
-        if len(t2) == 1 and t2[0] >= 0:
-            v2 = gens[t2[0]]
-        elif len(t2) == 3 and t2[0] >= 0 and t2[1] >= 0:
-            v2 = gens[t2[0]] & gens[t2[1]] if t2[2] == MEET else gens[t2[0]] | gens[t2[1]]
+        try:
+            (c,) = t1
+            x, y, o = t2
+        except ValueError:
+            v1 = gens[t1[0]] if len(t1) == 1 else _value(t1, gens, top)
+            v2 = gens[t2[0]] if len(t2) == 1 else _value(t2, gens, top)
         else:
-            v2 = _value(t2, gens, top)
-        ok &= ~(v1 & ~v2) if op == "<=" else ~(v1 ^ v2)
-    return ok
+            v1 = gens[c]
+            v2 = gens[x] & gens[y] if o == MEET else gens[x] | gens[y]
+        bad |= v1 & ~v2 if op == "<=" else v1 ^ v2
+    return top & ~bad
 
 
 class _Columns(dict):
     """The generator columns over `rows` extended by generator g, first
     with g = 0 and then with g = 1: bits j and n + j of column h are bit h
-    of rows[j].  A column is built when a relation first reads it."""
+    of rows[j]; ONE and ZERO are valued too.
 
-    def __init__(self, rows, g):
-        self.rows = rows
+    `rows` are the points `ok` of the step before, so each of its columns,
+    `prev`, carries over as the bits that `ok` keeps, cut once per
+    distinct value when first read: in ASCII digits ('0' is 0x30, '1' is
+    0x31) the column masked by `ok` plus twice `ok` is 0x90 + 2 keep + bit
+    in each byte, with no carry, so deleting 0x90 drops the points not
+    kept.  A column the step before did not hold is read off the rows.
+    """
+
+    def __init__(self, rows, g, prev, ok):
         n = len(rows)
-        self[g] = ((1 << n) - 1) << n
+        self.rows, self.prev, self.ok, self.cuts = rows, prev, ok, {}
+        if prev:
+            # the older steps' columns and rows are not read again
+            prev.prev = prev.rows = None
+            self.keep = int.from_bytes(format(ok, "b").encode(), "big") << 1
+            self.digits = bytes.maketrans(b"\x92\x93", b"01")
+        self[ONE], self[ZERO], self[g] = (1 << 2 * n) - 1, 0, ((1 << n) - 1) << n
 
     def __missing__(self, h):
-        col = int("".join(["1" if m >> h & 1 else "0" for m in reversed(self.rows)]), 2)
-        col = self[h] = col | col << len(self.rows)
+        old = self.prev.get(h)
+        if old is None:
+            col = int("".join(["1" if m >> h & 1 else "0" for m in reversed(self.rows)]), 2)
+            col |= col << len(self.rows)
+        elif old in self.cuts:
+            col = self.cuts[old]
+        else:
+            width = self.ok.bit_length()
+            digits = int.from_bytes(format(old & self.ok, f"0{width}b").encode(), "big") + self.keep
+            col = int(digits.to_bytes(width, "big").translate(self.digits, b"\x90"), 2)
+            col = self.cuts[old] = col | col << len(self.rows)
+        self[h] = col
         return col
 
 

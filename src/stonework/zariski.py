@@ -20,7 +20,7 @@ from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
 from .coverage import Coverage
 from .order import Poset, closed_family, frame_of_down_sets, iso_search, set_label
-from .presentations import JOIN, MEET, ONE, ZERO, Presentation, present_coherent, present_semantic
+from .presentations import JOIN, MEET, ONE, ZERO, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
 
 
@@ -103,11 +103,19 @@ class FiniteCommRing:
 
 
 def ring_zmod(n):
-    """The ring of integers modulo n (n >= 1; n == 1 is the trivial ring)."""
+    """The ring of integers modulo n (n >= 1; n == 1 is the trivial ring).
+
+    Each operation table has n^2 cells, refused past the frame-size
+    guard before any is made.  The cells share the n element ints, and
+    a row of + is a rotation of the elements."""
     if n < 1:
         raise InvalidStructure("zmod needs n >= 1")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    bound = config.frame_guard()
+    if n * n > bound:
+        raise GuardExceeded(f"each operation table of Z/{n}", n * n, bound)
+    vals = tuple(range(n))
+    add = [vals[a:] + vals[:a] for a in vals]
+    mul = [tuple([vals[a * b % n] for b in vals]) for a in vals]
     return FiniteCommRing(n, add, mul, 0, 1 % n, _checked=True)
 
 
@@ -464,20 +472,61 @@ def zariski_ideal_frame(ring, s=None, guard=None):
 
 def zariski_presentation(ring):
     """Generators D(a) with the four defining relation schemas."""
-    return _d_presentation(ring, "=")
+    return _DPresentation(ring, "=")
 
 
-def _d_presentation(ring, mul_op):
+class _DPresentation:
     """Generators D(a) with D(1) = 1, D(0) = 0, D(ab) `mul_op` D(a) & D(b)
-    and D(a+b) <= D(a) | D(b); the term D(c) is one shared code (c,)."""
-    d = [(c,) for c in range(ring.n)]
-    rels = [("=", d[ring.one], (ONE,)), ("=", d[ring.zero], (ZERO,))]
-    for a in range(ring.n):
-        mul_a, add_a = ring.mul[a], ring.add[a]
-        for b in range(a, ring.n):
-            rels.append((mul_op, d[mul_a[b]], (a, b, MEET)))
-            rels.append(("<=", d[add_a[b]], (a, b, JOIN)))
-    return Presentation([f"d{a}" for a in range(ring.n)], rels, "coherent")
+    and D(a+b) <= D(a) | D(b) for a <= b; the term D(c) is one shared
+    code (c,).
+
+    The members that relation_models, present_semantic and
+    present_coherent read of a Presentation: `generators`, `logic`,
+    `relations` and `buckets`.  The n(n + 1) + 2 relations are not held:
+    `buckets` makes them one bucket at a time, and `relations` counts
+    them and, iterated, yields them all.
+    """
+
+    def __init__(self, ring, mul_op):
+        self.generators = tuple(f"d{a}" for a in range(ring.n))
+        self.logic = "coherent"
+        self.ring, self.mul_op = ring, mul_op
+        self.relations = _Relations(ring.n * (ring.n + 1) + 2, self.buckets)
+
+    def buckets(self):
+        """Presentation.buckets, each made when it is read.  The highest
+        generator of a pair's relation is D(b) or its D(c), c = ab or
+        a + b: b's bucket takes it when c <= b, and otherwise it waits in
+        `later[c]` for c's bucket, so only the relations with
+        a <= b' < b < c are held at b."""
+        ring, op = self.ring, self.mul_op
+        d = [(c,) for c in range(ring.n)]
+        later = [[] for _ in range(ring.n)]
+        later[ring.one].append(("=", d[ring.one], (ONE,)))
+        later[ring.zero].append(("=", d[ring.zero], (ZERO,)))
+        yield []
+        for b in range(ring.n):
+            now, later[b] = later[b], None
+            mul_b, add_b = ring.mul[b], ring.add[b]
+            for a in range(b + 1):
+                c = mul_b[a]
+                (now if c <= b else later[c]).append((op, d[c], (a, b, MEET)))
+                c = add_b[a]
+                (now if c <= b else later[c]).append(("<=", d[c], (a, b, JOIN)))
+            yield now
+
+
+class _Relations:
+    """`count` relations, made bucket by bucket when iterated."""
+
+    def __init__(self, count, buckets):
+        self.count, self.buckets = count, buckets
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return chain.from_iterable(self.buckets())
 
 
 def zariski_lattice(ring, guard=None, site=None):
@@ -656,7 +705,7 @@ def radical_membership(ring, a, bs, site=None):
 
 def op_ideal_presentation(ring):
     """The coherent theory of op-ideals: D(ab) <= D(a) & D(b) etc."""
-    return _d_presentation(ring, "<=")
+    return _DPresentation(ring, "<=")
 
 
 def op_ideal_space(ring):

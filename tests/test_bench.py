@@ -1,19 +1,64 @@
 """The benchmark's tracer wraps library functions by name; every name it
-looks up must still exist, or `bench/run.py --trace 1` breaks."""
+looks up must still exist, or `bench/run.py --trace 1` breaks.  The
+benchmark's files are read here, never written."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+from stonework import cli
+from stonework.presentations import relation_models
+from stonework.zariski import ring_zmod, zariski_presentation
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_tracer_targets_resolve():
     # loading the module also resolves its corpus.all_sieves lookup
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     assert tracer.TARGETS
     for module, attr, *_ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"stonework.{module}"), attr)), (module, attr)
     assert callable(importlib.import_module("stonework.corpus").all_sieves)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_the_streamed_relations():
+    # the tracer reads len(args[0].relations) of a relation_models call;
+    # the D(a) presentation counts its relations without holding them
+    tracer = _bench_module("tracer")
+    for n in (1, 6, 30):
+        pres = zariski_presentation(ring_zmod(n))
+        models = relation_models(pres)
+        assert tracer._relation_counts((pres,), models) == {
+            "relations": n * (n + 1) + 2, "models": len(models)}
+
+
+def test_every_zariski_rings_digest_holds(tmp_path, monkeypatch):
+    # every zariski-rings job of the benchmark's pool, and its largest
+    # instance, prints the bytes whose sha256 the pool recorded
+    monkeypatch.delenv("STONEWORK_GUARD", raising=False)
+    inputs = _bench_module("inputs")
+    work = json.loads((BENCH / "pool.json").read_text())["workloads"]["zariski-rings"]
+    entries = {e["id"]: e for e in [e for slot in work["slots"] for e in slot["jobs"]] + work["largest"]}
+    assert len(entries) == 73
+    for entry in entries.values():
+        argv = list(entry["argv"])
+        if entry["input"] is not None:
+            path = tmp_path / f"{entry['id']}.json"
+            path.write_text(json.dumps(inputs.generate(entry["input"])[0]))
+            argv = [str(path) if a == "{input}" else a for a in argv]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0, entry["id"]
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == entry["digest"], entry["id"]

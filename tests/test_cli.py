@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonework import cli, coverage, formats, order, spectra
+from stonework import cli, coverage, formats, order, spectra, zariski
 from stonework.cli import main
 from stonework.formats import (
     coverage_from_json,
@@ -291,6 +291,34 @@ class TestGuardsBoundRealSize:
             "error": "GuardExceeded",
             "message": "free meet-semilattice would need 4096 elements, over the guard of 1000",
         }
+
+    def test_zmod_tables_refused_before_they_are_made(self, capsys, monkeypatch):
+        # N^2 cells in each table against the frame-size guard of 2**20
+        monkeypatch.delenv("STONEWORK_GUARD", raising=False)
+        monkeypatch.setattr(zariski, "FiniteCommRing", None)
+        for n in (1025, 99999999):
+            code, out = run(capsys, "zariski", "--ring", f"zmod:{n}")
+            assert code == 1
+            assert json.loads(out) == {
+                "error": "GuardExceeded",
+                "message": f"each operation table of Z/{n} would need {n * n} elements, "
+                           "over the guard of 1048576",
+            }
+
+    def test_zmod_guard_follows_the_frame_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("STONEWORK_GUARD", raising=False)
+        assert ring_zmod(1024).n == 1024
+        code, out = run(capsys, "--guard", "100", "zariski", "--ring", "zmod:11")
+        assert code == 1
+        assert json.loads(out)["message"] == \
+            "each operation table of Z/11 would need 121 elements, over the guard of 100"
+        code, out = run(capsys, "--guard", "100", "zariski", "--ring", "zmod:10", "--op-ideals")
+        assert code == 0
+        code, out = run(capsys, "--guard", "100", "zariski", "--ring", "zmod:10")
+        assert code == 0 and json.loads(out)["guards"]["frame_guard"] == 100
+        monkeypatch.setenv("STONEWORK_GUARD", "100")
+        code, out = run(capsys, "zariski", "--ring", "zmod:11", "--op-ideals")
+        assert code == 1 and json.loads(out)["error"] == "GuardExceeded"
 
     def test_horn_presentation_refused_before_listing(self, capsys, tmp_path):
         f = tmp_path / "horn12.txt"

@@ -16,6 +16,7 @@ from stonework.presentations import (
     ONE,
     ZERO,
     Presentation,
+    _Columns,
     _congruence_roots,
     _support,
     _value,
@@ -508,6 +509,35 @@ def test_congruence_roots_match_fixpoint_oracle(case):
     assert lat.poset.labels == tuple(f"[{bin(tables[r])}]" for r in classes)
     tidx = {t: i for i, t in enumerate(tables)}
     assert list(lat.gen_elements) == [classes.index(roots[tidx[g]]) for g in gens]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=st.integers(1, 6).flatmap(lambda g: st.tuples(
+    st.just(g), st.sets(st.integers(0, (1 << g) - 1), min_size=1, max_size=40),
+    st.integers(1, 2 ** 80), st.sets(st.integers(0, g - 1)))))
+@example(case=(3, {1, 2, 5}, 0b111111, {0, 1, 2}))
+@example(case=(3, {1, 2, 5}, 0b000111, {0, 2}))
+@example(case=(3, {1, 2, 5}, 0b111000, {1}))
+@example(case=(3, {1, 2, 5}, 0b011110, {0, 1, 2}))
+@example(case=(6, {0, 63}, 0b0110, set(range(6))))
+def test_carried_columns_match_the_rows(case):
+    # a column carried from the step before (the bits `ok` keeps), cut
+    # once per value even when old columns share one (as in the last
+    # example), or read off the rows when that step did not read it, is
+    # the column of the surviving extensions; `read` are the columns that
+    # step read
+    g, rows, ok, read = case
+    rows = sorted(rows)
+    n = len(rows)
+    ok = ok % (1 << 2 * n) or 1
+    prev = _Columns(rows, g, {}, 0)
+    for h in read:
+        assert prev[h] == mask_of(j + half * n for half in (0, 1) for j, m in enumerate(rows) if m >> h & 1)
+    new = [rows[j] for j in bits(ok & ((1 << n) - 1))] + [rows[j] | 1 << g for j in bits(ok >> n)]
+    cols = _Columns(new, g + 1, prev, ok)
+    for h in range(g + 1):
+        want = mask_of(j for j, m in enumerate(new) if m >> h & 1)
+        assert cols[h] == want | want << len(new), h
 
 
 def test_relation_models_of_a_long_chain():

@@ -1,6 +1,7 @@
 """zariski: rings, S(A), the coverage, L(A), spectra, radicals, op-ideals."""
 
 import random
+from collections import Counter
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -10,7 +11,7 @@ import pytest
 from stonework.bits import bits, mask_of
 from stonework.coverage import j_closure, saturate
 from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
-from stonework.presentations import relation_models
+from stonework.presentations import Presentation, relation_models
 from stonework.spectra import j_prime_filters
 from stonework import zariski
 from stonework.zariski import (
@@ -20,6 +21,7 @@ from stonework.zariski import (
     ideal_generated,
     power_combination_covers,
     op_ideal_lattice,
+    op_ideal_presentation,
     op_ideal_space,
     prime_filters_ring,
     prime_ideals,
@@ -378,6 +380,22 @@ class TestLattice:
 
             want = [m for m in range(1 << n) if all(holds(rel, m) for rel in pres.relations)]
             assert relation_models(pres) == want, n
+
+    def test_streamed_buckets_match_the_held_presentation(self):
+        # the D(a) presentations make their relations bucket by bucket;
+        # held by the checking constructor, the same relations fall into
+        # the same buckets, and the model search finds the same models
+        rings = ([ring_zmod(n) for n in range(1, 61)] + list(prime_field_products(36))
+                 + non_reduced_products())
+        for ring in rings:
+            for pres in (zariski_presentation(ring), op_ideal_presentation(ring)):
+                held = Presentation(pres.generators, pres.relations, "coherent")
+                assert len(pres.relations) == len(held.relations) == ring.n * (ring.n + 1) + 2
+                streamed = list(pres.buckets())
+                assert len(streamed) == len(held._by_top) == ring.n + 1
+                for bucket, want in zip(streamed, held._by_top):
+                    assert Counter(bucket) == Counter(want), ring.n
+                assert relation_models(pres) == relation_models(held), ring.n
 
     def test_frame_tables_match_cell_loop(self):
         for n in range(1, 41):
