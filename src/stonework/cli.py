@@ -23,9 +23,7 @@ from .corpus import (
 from .coverage import (
     GrothendieckTopology,
     ideal_frame,
-    j_ideals,
     named_coverage,
-    saturate,
     topologies_equal_by_ideals,
     trivial_coverage,
 )
@@ -71,7 +69,6 @@ from .spectra import (
     subterminal_space,
 )
 from .zariski import (
-    ZariskiSite,
     op_ideal_lattice,
     ring_zmod,
     spectra_homeomorphism,
@@ -135,27 +132,23 @@ def cmd_ideal_frame(args):
 
 def cmd_space(args):
     cov = _load_site(args)
-    filters = j_prime_filters(cov)
     if args.gamma is not None:
         import os
 
-        fr = ideal_frame(cov)
-        ideals = fr.element_masks
+        cov.ideals()  # the frame guard refuses before --gamma is read
         if os.path.exists(args.gamma):
             raw = _read_json(args.gamma)
             if not isinstance(raw, list):
                 raise ParseError("a --gamma file must hold a list of element indices")
         else:
             raw = args.gamma.split(",")
-        sp = gamma_subterminal_space(cov, [_int(x, "a --gamma index") for x in raw],
-                                     frame=fr, filters=filters)
+        sp = gamma_subterminal_space(cov, [_int(x, "a --gamma index") for x in raw])
     else:
-        ideals = j_ideals(cov)
-        sp = subterminal_space(cov, ideals=ideals, filters=filters)
+        sp = subterminal_space(cov)
     if args.dot:
         sys.stdout.write(space_to_dot(sp))
         return 0
-    flag, n_ideals, extents = enough_points(cov, ideals=ideals, filters=filters)
+    flag, n_ideals, extents = enough_points(cov)
     _emit(_envelope({"space": space_to_json(sp),
                      "enough_points": flag,
                      "ideals": n_ideals,
@@ -238,9 +231,8 @@ def cmd_zariski(args):
             return 0
         _emit(_envelope({"space": space_to_json(space), "lattice_size": lat.poset.n}))
         return 0
-    site = ZariskiSite(ring)
-    point_map, sp1, sp2 = spectra_homeomorphism(ring, site=site)
-    fr, D = zariski_lattice(ring, site=site)
+    point_map, sp1, sp2 = spectra_homeomorphism(ring)
+    fr, D = zariski_lattice(ring)
     if args.dot:
         sys.stdout.write(space_to_dot(sp2))
         return 0
@@ -283,7 +275,7 @@ def cmd_check(args):
         return 0
     if inv == "gd":
         fr = lower_sets(p)
-        site = godel_dummett_site(saturate(trivial_coverage(p)))
+        site = godel_dummett_site(trivial_coverage(p))
         external = godel_dummett_frame(fr)
         _emit(
             _envelope(

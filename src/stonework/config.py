@@ -1,7 +1,8 @@
 """Size guards.
 
 Every guard is overridable per call; these are the documented defaults.
-STONEWORK_GUARD in the environment overrides the frame-size guard.
+STONEWORK_GUARD in the environment overrides the frame-size guard.  A
+kept value of a site or ring is checked against the guard of each read.
 """
 
 import os
@@ -11,7 +12,8 @@ from .errors import InvalidStructure
 # Hard cap on the number of elements a constructed frame may have.
 FRAME_GUARD = 2 ** 20
 
-# Saturation enumerates all sieves; exponential in the carrier size.
+# Listing sieve tables (saturate, the Goedel-Dummett site law) is
+# exponential in the carrier size; every other test on a site reads its D.
 SATURATION_GUARD = 16
 
 # elemental_space materialises the full powerset of its input set.

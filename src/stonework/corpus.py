@@ -8,8 +8,8 @@ tiny sizes the acceptance sweeps use.
 from functools import lru_cache
 from itertools import permutations
 
-from .bits import bits, mask_of, popcount
-from .coverage import Coverage, all_sieves, j_d_sieves, saturate, topology_failure
+from .bits import bits, mask_of
+from .coverage import Coverage, all_sieves, is_meet_semilattice, j_d_sieves, saturate, topology_failure
 from .errors import CheckFailed
 from .order import Poset, Preorder, lower_sets, preorder_from_pairs
 
@@ -189,15 +189,3 @@ def meet_semilattices_upto(n):
             out.append(p)
     return out
 
-
-def is_meet_semilattice(p):
-    if p.n == 0:
-        return False
-    tops = [i for i in range(p.n) if popcount(p.dn[i]) == p.n]
-    if len(tops) != 1:
-        return False
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.glb((1 << i) | (1 << j)) is None:
-                return False
-    return True

@@ -6,13 +6,14 @@ sieves) is a separate first-class object.  Sieves on an element c are
 down-closed subsets of (c)down, held as bitmasks.
 
 Every topology on a finite preorder is J_D for one union D of classes
-(see j_d_sieves), and a coverage or a topology carries that D as
-`dmask`.  The J-closure, the frame Id_J(C) and the J-prime filters are
-all read off D, so only callers that read sieve tables saturate.
+(see j_d_sieves): S covers c iff dn[c] & D lies in S.  A coverage or a
+topology is a Site carrying that D as `dmask`; every test made on it is
+a mask test on D, and it keeps what it derives.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .bits import bits, mask_of, popcount, submasks
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
@@ -33,20 +34,54 @@ def d_of(p, covers):
                    if all(fam & p.up[x] for c in bits(p.up[x]) for fam in covers[c]))
 
 
-class Coverage:
+class Site:
+    """A coverage or a topology, read as the topology J_D it generates.
+
+    It keeps what it derives: D (`dmask`), the J-ideals, the J-prime
+    filters and the extent of each ideal.  A cache never widens a guard:
+    read under a bound below their count, the ideals are listed again,
+    and the listing refuses.
+    """
+
+    _ideals = _extents = _saturation = None
+
+    def ideals(self, guard=None):
+        """j_ideals(self, guard), listed once."""
+        if self._ideals is None or len(self._ideals) > config.frame_guard(guard):
+            self._ideals = j_ideals(self, guard=guard)
+        return self._ideals
+
+    @cached_property
+    def filters(self):
+        """j_prime_filters(self), listed once."""
+        return j_prime_filters(self)
+
+    def extents(self, guard=None):
+        """The extent of each J-ideal, in the order of ideals(): the mask
+        of the filters (by index) that meet it.  An ideal I is
+        down-closed, so the filter up[d] meets I iff d lies in I: the
+        extent is the union of the bits of up[d] over d in I & D."""
+        ideals = self.ideals(guard)
+        if self._extents is None:
+            at = {F: 1 << i for i, F in enumerate(self.filters)}
+            bit = [at.get(u, 0) for u in self.base.up]
+            self._extents = [reduce(or_, map(bit.__getitem__, bits(m & self.dmask)), 0)
+                             for m in ideals]
+        return self._extents
+
+
+class Coverage(Site):
     """Generating covering families on each element of a preorder.
 
     Stability is an invariant of the saturated form, never of the
     generators: any generator set yields a legal topology, J_D for the
-    D in `dmask`.  Closures, frames and filters are built from `dmask`;
-    the sieve tables (`saturate`) are needed only where sieve tables are
-    read.
+    D in `dmask`.  Everything but the sieve tables (`saturate`) is read
+    off `dmask`.
     """
 
     def __init__(self, base, covers):
         self.base = base
         self.covers = tuple(frozenset(fams) for fams in covers)
-        self._saturation = None
         if len(self.covers) != base.n:
             raise InvalidStructure("covers must assign a family set to every element")
         for c in range(base.n):
@@ -62,7 +97,7 @@ class Coverage:
         return (self.base.key(), self.covers)
 
 
-class GrothendieckTopology:
+class GrothendieckTopology(Site):
     """The full set of covering sieves on each element."""
 
     def __init__(self, base, sieves, _checked=False):
@@ -90,14 +125,15 @@ class GrothendieckTopology:
     def dmask(self):
         return d_of(self.base, self.sieves)
 
-    def covers(self, c, sieve):
-        return sieve in self.sieves[c]
+    @property
+    def _saturation(self):
+        return self
 
     def key(self):
         return (self.base.key(), tuple(tuple(sorted(s)) for s in self.sieves))
 
     def __eq__(self, other):
-        return isinstance(other, GrothendieckTopology) and self.key() == other.key()
+        return type(other) is type(self) and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -154,21 +190,17 @@ def saturate(cov, guard=None):
     """Least Grothendieck topology containing the generated sieves: J_D
     for D = cov.dmask.
 
-    Closures, ideal frames and filters are read off D, so this is needed
-    only where sieve tables are read.  Listing the sieves is exponential
-    in the carrier, so it is guarded.  The result is cached on the
-    coverage.
+    Everything else is read off D; this lists the sieve tables, which
+    is exponential in the carrier, so it is guarded.  The result is
+    cached on the coverage, and a topology is its own saturation.
     """
-    if isinstance(cov, GrothendieckTopology):
-        return cov
-    if cov._saturation is not None:
-        return cov._saturation
-    p = cov.base
-    bound = guard if guard is not None else config.SATURATION_GUARD
-    if p.n > bound:
-        raise GuardExceeded("saturation", p.n, bound)
-    sieves = [all_sieves(p, c) for c in range(p.n)]
-    cov._saturation = GrothendieckTopology(p, j_d_sieves(p, cov.dmask, sieves), _checked=True)
+    if cov._saturation is None:
+        p = cov.base
+        bound = guard if guard is not None else config.SATURATION_GUARD
+        if p.n > bound:
+            raise GuardExceeded("saturation", p.n, bound)
+        sieves = [all_sieves(p, c) for c in range(p.n)]
+        cov._saturation = GrothendieckTopology(p, j_d_sieves(p, cov.dmask, sieves), _checked=True)
     return cov._saturation
 
 
@@ -201,12 +233,24 @@ def j_ideals(J, guard=None):
     """All J-ideals as ascending bitmasks, for a coverage or a topology J_D.
 
     A J-ideal is the closure of its D-part, and every down-set of D is
-    one, so the J-ideals are the closures of the down-sets of D.  The
+    one, so the J-ideals are the closures of the down-sets m of D: as
+    m = down(m) & D, m and the c outside D with dn[c] & D inside m.  The
     listing stops under the frame-size guard.
     """
     p, dmask = J.base, J.dmask
     downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
-    return sorted(j_closure(J, m) for m in downs)
+    outside = [(c, p.dn[c] & dmask) for c in range(p.n) if not (dmask >> c) & 1]
+    return sorted(m | mask_of(c for c, b in outside if b & ~m == 0) for m in downs)
+
+
+def j_prime_filters(J):
+    """All J-prime filters in canonical (ascending bitmask) order.
+
+    A finite, nonempty, down-directed up-set is principal, and up[x]
+    meets every family on every member exactly when x is in J.dmask, so
+    the filters are the distinct up[d], d in D.
+    """
+    return sorted({J.base.up[d] for d in bits(J.dmask)})
 
 
 def ideal_frame(J, guard=None):
@@ -215,7 +259,7 @@ def ideal_frame(J, guard=None):
     ideal over the union of their D-parts.
     """
     p, dmask = J.base, J.dmask
-    ideals = j_ideals(J, guard=guard)
+    ideals = J.ideals(guard)
     # the D-parts of the ideals, listed in the ideals' order
     part = {m & dmask: i for i, m in enumerate(ideals)}
     join = [[part[a | b] for b in part] for a in part]
@@ -223,14 +267,17 @@ def ideal_frame(J, guard=None):
 
 
 def is_subcanonical(J):
-    """Every covering sieve has the covered element as its supremum."""
-    J = saturate(J)
-    p = J.base
+    """Every covering sieve has the covered element as its supremum.
+    A covering sieve on c holds the least one, down(dn[c] & D), so has no
+    more upper bounds: it is enough that each common upper bound of
+    dn[c] & D lies above c."""
+    p, dmask = J.base, J.dmask
     for c in range(p.n):
-        for s in J.sieves[c]:
-            for c2 in range(p.n):
-                if s & ~p.dn[c2] == 0 and not p.leq(c, c2):
-                    return False
+        bounds = (1 << p.n) - 1
+        for d in bits(p.dn[c] & dmask):
+            bounds &= p.up[d]
+        if bounds & ~p.up[c]:
+            return False
     return True
 
 
@@ -240,18 +287,17 @@ def topologies_equal_by_ideals(J1, J2):
     The uniqueness theorem makes this equivalent to J1 == J2; callers
     assert that equivalence by comparing with direct equality.
     """
-    J1, J2 = saturate(J1), saturate(J2)
     if J1.base.key() != J2.base.key():
         raise InvalidStructure("topologies live on different bases")
-    p = J1.base
-    return all(is_j_ideal(J1, m) == is_j_ideal(J2, m) for m in p.down_sets())
+    return J1.ideals() == J2.ideals()
 
 
 # ---------------------------------------------------------------------------
 # named coverages
 
 
-def _is_meet_semilattice_poset(p):
+def is_meet_semilattice(p):
+    """A poset with a top element and all binary meets."""
     if p.n == 0:
         return False
     if not any(popcount(p.dn[i]) == p.n for i in range(p.n)):
@@ -300,7 +346,7 @@ def _meet_table(po):
 def _check_djlat(po):
     """Disjunctively distributive: meet-semilattice with bottom, joins of
     disjoint pairs (and the empty join), stable under binary meets."""
-    if not _is_meet_semilattice_poset(po):
+    if not is_meet_semilattice(po):
         raise InvalidStructure("disjunctive coverage needs a meet-semilattice")
     bot = _bottom_of(po)
     if bot is None:
@@ -343,7 +389,7 @@ def _poset_supercompacts(po):
 def _generated_by(po, special, what):
     """Coverage generated by finite families of the given special elements
     whose supremum is the covered element, plus the maximal sieves."""
-    if not _is_meet_semilattice_poset(po):
+    if not is_meet_semilattice(po):
         raise InvalidStructure(f"{what} must be a meet-semilattice")
     bot = _bottom_of(po)
     if bot is None:
@@ -424,7 +470,7 @@ def named_coverage(p, kind, param=None):
         return Coverage(po, covers)
 
     if kind == "directed":
-        if not _is_meet_semilattice_poset(po):
+        if not is_meet_semilattice(po):
             raise InvalidStructure("directed coverage needs a preframe (finitely, a meet-semilattice)")
         covers = []
         for c in range(po.n):
@@ -449,7 +495,7 @@ def _is_directed(p, mask):
 def _check_k_frame(po, k):
     """Meet-semilattice with joins of all families of fewer than k
     elements, distributing over binary meets."""
-    if not _is_meet_semilattice_poset(po):
+    if not is_meet_semilattice(po):
         raise InvalidStructure("a k-frame must be a meet-semilattice")
     meet = _meet_table(po)
     elems = list(range(po.n))
@@ -469,53 +515,45 @@ def _check_k_frame(po, k):
 # dense subsets and induced coverages
 
 
-def is_j_dense(J, dmask):
+def is_j_dense(J, subset):
     """Density of a subset: every element has a covering family inside it.
-
     Families need not be down-closed, so the test is whether the sieve
-    generated by D intersected with (c)down covers c.
-    """
-    J = saturate(J)
-    p = J.base
+    generated by the subset below c covers c: holds dn[c] & D."""
+    p, dmask = J.base, J.dmask
     for c in range(p.n):
-        if p.down_closure(dmask & p.dn[c]) not in J.sieves[c]:
+        if p.dn[c] & dmask & ~p.down_closure(subset & p.dn[c]):
             return False, c
     return True, None
 
 
-def induced_coverage(J, dmask):
-    """The coverage a J-dense subset inherits: restrictions of covers."""
-    J = saturate(J)
-    p = J.base
-    ok, witness = is_j_dense(J, dmask)
+def induced_coverage(J, subset):
+    """The coverage a J-dense subset inherits: restrictions of covers.
+
+    The family dn[a] & D & subset on each a generates what the
+    restrictions of the J-covering sieves on a do, J_D' for
+    D' = D & subset: an x of D' lies in both on each a above x, and an x
+    outside D meets neither on x, as D is a union of classes.
+    """
+    p, dmask = J.base, J.dmask
+    ok, witness = is_j_dense(J, subset)
     if not ok:
         raise InvalidStructure(f"subset is not dense: element {witness} has no covering inside it")
-    delems = sorted(bits(dmask))
+    delems = sorted(bits(subset))
     pos = {e: i for i, e in enumerate(delems)}
     sub = p.restrict(delems)
-    covers = []
-    for a in delems:
-        fams = set()
-        for t in J.sieves[a]:
-            fams.add(mask_of(pos[b] for b in bits(t & dmask)))
-        covers.append(frozenset(fams))
-    cov = Coverage(sub, covers)
-    return sub, cov, delems
+    covers = [frozenset([mask_of(pos[b] for b in bits(p.dn[a] & dmask & subset))]) for a in delems]
+    return sub, Coverage(sub, covers), delems
 
 
-def comparison_iso(J, dmask, guard=None):
+def comparison_iso(J, subset, guard=None):
     """Frame isomorphism Id_J(C) -> Id_{J|D}(D) by intersection, with
     inverse by J-closure; both composites are checked to be identities."""
-    J = saturate(J)
-    sub, cov, delems = induced_coverage(J, dmask)
+    sub, cov, delems = induced_coverage(J, subset)
     pos = {e: i for i, e in enumerate(delems)}
     big = ideal_frame(J, guard=guard)
     small = ideal_frame(cov, guard=guard)
-    phi = [small.index[mask_of(pos[b] for b in bits(m & dmask))] for m in big.element_masks]
-    psi = []
-    for m in small.element_masks:
-        lifted = mask_of(delems[i] for i in bits(m))
-        psi.append(big.index[j_closure(J, lifted)])
+    phi = [small.index[mask_of(pos[b] for b in bits(m & subset))] for m in big.element_masks]
+    psi = [big.index[j_closure(J, mask_of(delems[i] for i in bits(m)))] for m in small.element_masks]
     for i in range(big.n):
         if psi[phi[i]] != i:
             raise CheckFailed("comparison: psi after phi is not the identity")
@@ -536,9 +574,9 @@ def subtopology_from_surjection(J, target, f, guard=None):
     sieve S covers c in J' when f sends cl_J(S) and the principal J-ideal
     on c to the same element.  The existence theorem is non-constructive,
     so the candidate is validated by rebuilding `target` from Id_{J'}(C);
-    any mismatch is a hard error.
+    any mismatch is a hard error.  J_D lies in J_D' iff D' lies in D (a
+    d of D' outside D misses the least J_D-covering sieve on d).
     """
-    J = saturate(J)
     p = J.base
     big = ideal_frame(J, guard=guard)
     if len(f) != big.n:
@@ -553,9 +591,8 @@ def subtopology_from_surjection(J, target, f, guard=None):
         princ = f[big.index[j_closure(J, p.dn[c])]]
         sieves.append({s for s in all_sieves(p, c) if f[big.index[j_closure(J, s)]] == princ})
     J2 = GrothendieckTopology(p, sieves)
-    for c in range(p.n):
-        if not J.sieves[c] <= J2.sieves[c]:
-            raise CheckFailed("constructed topology does not contain J")
+    if J2.dmask & ~J.dmask:
+        raise CheckFailed("constructed topology does not contain J")
     small = ideal_frame(J2, guard=guard)
     rest = [f[big.index[m]] for m in small.element_masks]
     if sorted(rest) != list(range(target.n)):

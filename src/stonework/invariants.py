@@ -6,14 +6,14 @@ being tested, so nothing is aliased to a single evaluator.
 """
 
 from .bits import bits, mask_of, submasks
-from .errors import CheckFailed, InvalidStructure
+from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from .coverage import (
     all_sieves,
     ideal_frame,
     named_coverage,
-    saturate,
     trivial_coverage,
 )
+from . import config
 from .order import FiniteFrame, as_poset, upper_sets
 
 
@@ -53,8 +53,7 @@ def _nonzero(d):
 
 
 def _stone_frame(d, guard=None):
-    J = saturate(named_coverage(d.poset, "coherent"))
-    return ideal_frame(J, guard=guard)
+    return ideal_frame(named_coverage(d.poset, "coherent"), guard=guard)
 
 
 def _densely_below(d, ideal_mask, a):
@@ -96,9 +95,10 @@ def almost_discrete_conditions(d, guard=None):
             c3 = False
             break
 
-    # (iv) complementation plus completeness plus finite-join suprema
+    # (iv) complementation plus completeness (a 2^n scan, made only if
+    # it matters) plus finite-join suprema
     every_complemented = all(d.complement_of(a) is not None for a in range(d.n))
-    complete = all(d.poset.lub(m) is not None for m in range(1 << d.n))
+    complete = every_complemented and all(d.poset.lub(m) is not None for m in range(1 << d.n))
     finite_sup = True  # a finite subset is its own finite subfamily
     c4 = every_complemented and complete and finite_sup
 
@@ -142,10 +142,16 @@ def extremally_disconnected_conditions(d, guard=None):
             c2 = False
             break
 
-    # (iii) the collection-level formulation
+    # (iii) the collection-level formulation; by distributivity b1 and b2
+    # depend on a collection only through its join, so one per join
     c3 = True
     nz = _nonzero(d)
+    joins = set()
     for sub in submasks(mask_of(nz)):
+        j = d.join_set(sub)
+        if j in joins:
+            continue
+        joins.add(j)
         fam = [a for a in bits(sub)]
         b1 = mask_of(
             b for b in nz if all(d.meet[b][ai] == d.bot for ai in fam)
@@ -251,16 +257,16 @@ def godel_dummett_frame(fr):
 
 
 def j_closed_sieves(J, c):
-    """Sieves on c closed for the topology: containing every element
-    whose restriction covers."""
-    p = J.base
+    """Sieves on c closed for the topology: containing every d whose
+    restriction covers, that is, whenever s holds dn[d] & D."""
+    p, dmask = J.base, J.dmask
     out = []
     for s in all_sieves(p, c):
         closed = True
         for d in bits(p.dn[c]):
             if (s >> d) & 1:
                 continue
-            if (s & p.dn[d]) in J.sieves[d]:
+            if p.dn[d] & dmask & ~s == 0:
                 closed = False
                 break
         if closed:
@@ -270,9 +276,11 @@ def j_closed_sieves(J, c):
 
 def godel_dummett_site(J):
     """The site-level law: for J-closed sieves R, S on c, the sieve of
-    elements where the restrictions nest is J-covering."""
-    J = saturate(J)
-    p = J.base
+    elements where the restrictions nest is J-covering (holds dn[c] & D).
+    It lists sieves, so it is refused past the saturation guard."""
+    p, dmask = J.base, J.dmask
+    if p.n > config.SATURATION_GUARD:
+        raise GuardExceeded("saturation", p.n, config.SATURATION_GUARD)
     for c in range(p.n):
         closed = j_closed_sieves(J, c)
         for r in closed:
@@ -283,7 +291,7 @@ def godel_dummett_site(J):
                     if (r & p.dn[d]) & ~(s & p.dn[d]) == 0
                     or (s & p.dn[d]) & ~(r & p.dn[d]) == 0
                 )
-                if t not in J.sieves[c]:
+                if p.dn[c] & dmask & ~t:
                     return False
     return True
 

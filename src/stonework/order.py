@@ -585,6 +585,11 @@ def iso_search(a, b):
     Deterministic: returns the lexicographically least witness (as a
     tuple indexed by elements of `a`).  For frames an order isomorphism
     is automatically a lattice isomorphism, which is checked.
+
+    The depth-first search keeps its path in `assign`, not in recursion,
+    so it runs at any size.  j fits i when each placed k < i lies above
+    (below) i iff assign[k] lies above (below) j: with `at` the inverse
+    of `assign`, one mask comparison each way.
     """
     pa = a.poset if isinstance(a, FiniteFrame) else a
     pb = b.poset if isinstance(b, FiniteFrame) else b
@@ -595,31 +600,30 @@ def iso_search(a, b):
     if sorted(siga) != sorted(sigb):
         return None
     n = pa.n
-    assign = [-1] * n
-    used = [False] * n
+    assign, at, taken = [-1] * n, [-1] * n, 0
 
-    def extend(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or siga[i] != sigb[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if pa.leq(i, k) != pb.leq(j, assign[k]) or pa.leq(k, i) != pb.leq(assign[k], j):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                assign[i] = -1
-                used[j] = False
-        return False
+    def fits(i, j):
+        placed = (1 << i) - 1
+        return (siga[i] == sigb[j]
+                and pa.up[i] & placed == mask_of(at[y] for y in bits(pb.up[j] & taken))
+                and pa.dn[i] & placed == mask_of(at[y] for y in bits(pb.dn[j] & taken)))
 
-    if not extend(0):
-        return None
+    # element i takes the least fitting free j from `start` on; when none
+    # fits, i - 1 moves past its current image
+    i, start = 0, 0
+    while i < n:
+        free = ((1 << n) - 1) & ~taken & -(1 << start)
+        j = next((j for j in bits(free) if fits(i, j)), None)
+        if j is not None:
+            assign[i], at[j] = j, i
+            taken |= 1 << j
+            i, start = i + 1, 0
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+            start = assign[i] + 1
+            taken &= ~(1 << start - 1)
     wit = tuple(assign)
     if isinstance(a, FiniteFrame) and isinstance(b, FiniteFrame):
         if frame_hom_failure(a, b, wit) is not None:

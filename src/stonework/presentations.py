@@ -12,13 +12,7 @@ from operator import and_, or_
 from .bits import bits, mask_of, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure, ParseError
 from . import config
-from .coverage import (
-    GrothendieckTopology,
-    ideal_frame,
-    named_coverage,
-    principal_j_ideal,
-    saturate,
-)
+from .coverage import ideal_frame, named_coverage, principal_j_ideal
 from .duality import FrameHom, atom_map, dis_map, irreducible_elements, is_atomic
 from .order import (
     FiniteFrame,
@@ -56,16 +50,20 @@ def is_filtering(base, frame, f):
 
 
 def is_j_filtering(J, frame, f):
-    """Filtering, and every cover's images join to the member's image."""
-    base = J.base
+    """Filtering, and every cover's images join to the member's image:
+    for each c, the join of f over dn[c] & D is f[c].
+
+    (ii) with c2 = c makes a filtering f monotone.  The sieves S on c
+    whose images join to f[c] then form a topology (stability by meeting
+    with f[b] and (ii), transitivity by joins), which holds J's
+    generators iff it holds J_D, iff it holds each least covering sieve
+    down(dn[c] & D), whose images join as those of dn[c] & D.
+    """
+    base, dmask = J.base, J.dmask
     if not is_filtering(base, frame, f):
         return False
-    fams = J.sieves if isinstance(J, GrothendieckTopology) else J.covers
-    for c in range(base.n):
-        for fam in fams[c]:
-            if frame.join_set(mask_of(f[d] for d in bits(fam))) != f[c]:
-                return False
-    return True
+    return all(frame.join_set(mask_of(f[d] for d in bits(base.dn[c] & dmask))) == f[c]
+               for c in range(base.n))
 
 
 class FilteringMap:
@@ -90,12 +88,11 @@ def extend_filtering(J, frame, f, guard=None):
     the principal-ideal embedding; raises if f is not J-filtering."""
     if not is_j_filtering(J, frame, f):
         raise InvalidStructure("map is not J-filtering")
-    Jt = saturate(J)
-    src = ideal_frame(Jt, guard=guard)
+    src = ideal_frame(J, guard=guard)
     assign = [frame.join_set(mask_of(f[c] for c in bits(m))) for m in src.element_masks]
     h = FrameHom(src, frame, assign)
-    for c in range(Jt.base.n):
-        if h.f[src.index[principal_j_ideal(Jt, c)]] != f[c]:
+    for c in range(J.base.n):
+        if h.f[src.index[principal_j_ideal(J, c)]] != f[c]:
             raise CheckFailed("extension does not restrict to f on principal ideals")
     return h
 
@@ -138,10 +135,9 @@ def enumerate_frame_homs(dom, cod):
 def extension_is_unique(J, frame, f, guard=None):
     """Brute-force check that exactly one frame hom restricts to f."""
     h = extend_filtering(J, frame, f, guard=guard)
-    Jt = saturate(J)
-    princ = [h.dom.index[principal_j_ideal(Jt, c)] for c in range(Jt.base.n)]
+    princ = [h.dom.index[principal_j_ideal(J, c)] for c in range(J.base.n)]
     matching = [
-        g for g in enumerate_frame_homs(h.dom, frame) if all(g[princ[c]] == f[c] for c in range(Jt.base.n))
+        g for g in enumerate_frame_homs(h.dom, frame) if all(g[princ[c]] == f[c] for c in range(J.base.n))
     ]
     return matching == [h.f]
 
@@ -835,8 +831,7 @@ def _default_targets():
 
 
 def _reflect_site(p, kind, targets, guard):
-    cov = named_coverage(p, kind)
-    J = saturate(cov)
+    J = named_coverage(p, kind)
     fr = ideal_frame(J, guard=guard)
     eta = [fr.index[principal_j_ideal(J, c)] for c in range(p.n)]
     targets = targets if targets is not None else _default_targets()
@@ -857,7 +852,7 @@ def _reflect_bool(L, targets, guard):
     boolean_targets = targets if targets is not None else _small_booleans()
     report = {"kind": "bool", "complemented": len(comp), "bijections": []}
     for B in boolean_targets:
-        J = saturate(named_coverage(B.poset, "coherent"))
+        J = named_coverage(B.poset, "coherent")
         idB = ideal_frame(J, guard=guard)
         frame_homs = enumerate_frame_homs(idB, L)
         bool_homs = _boolean_homs(B, L, comp)

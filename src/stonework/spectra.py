@@ -6,10 +6,11 @@ Points are materialised filters held as bitmasks, never abstract.
 
 from operator import and_, or_
 
-from .bits import bits, mask_of, popcount
+from .bits import bits, mask_of, popcount, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
-from .coverage import GrothendieckTopology, ideal_frame, j_ideals, principal_j_ideal
+# j_prime_filters is read by its spectra name too
+from .coverage import ideal_frame, j_prime_filters, principal_j_ideal  # noqa: F401
 from .duality import is_cover_preserving
 from .order import Preorder, closed_family, frame_of_down_sets, is_flat, set_label
 
@@ -85,8 +86,14 @@ class PrimeFilter:
 
 def is_j_prime_filter(J, mask):
     """Nonempty, up-closed, downward-directed, and meeting some member of
-    every covering sieve of every member."""
-    p = J.base
+    every covering sieve of every member.
+
+    The least covering sieve on a is down(dn[a] & D), which an up-set
+    meets iff it meets dn[a] & D.  Meeting every generating family of a
+    coverage says the same: the mask is up[x], x in its least class, and
+    both say x lies in D (see coverage.d_of).
+    """
+    p, dmask = J.base, J.dmask
     if mask == 0:
         return False
     for a in bits(mask):
@@ -96,30 +103,7 @@ def is_j_prime_filter(J, mask):
         for b in bits(mask):
             if not (p.dn[a] & p.dn[b] & mask):
                 return False
-    if isinstance(J, GrothendieckTopology):
-        for a in bits(mask):
-            for s in J.sieves[a]:
-                if not (s & mask):
-                    return False
-    else:
-        for a in bits(mask):
-            for fam in J.covers[a]:
-                if not (fam & mask):
-                    return False
-    return True
-
-
-def j_prime_filters(C_or_J, J=None):
-    """All J-prime filters in canonical (ascending bitmask) order.
-
-    Accepts (preorder, coverage-or-topology) or just the site object.
-    A finite, nonempty, down-directed up-set is principal, and up[x]
-    meets every family on every member exactly when x is in J.dmask, so
-    the filters are the distinct up[d], d in D.
-    """
-    if J is None:
-        J = C_or_J
-    return sorted({J.base.up[d] for d in bits(J.dmask)})
+    return all(mask & p.dn[a] & dmask for a in bits(mask))
 
 
 def completely_prime_filters(fr):
@@ -139,25 +123,20 @@ def filter_bijection(J, guard=None):
     p = J.base
     fr = ideal_frame(J, guard=guard)
     cps = completely_prime_filters(fr)
-    jps = j_prime_filters(J)
-    pairs = []
-    seen = []
-    for F in cps:
-        image = mask_of(c for c in range(p.n) if (F >> fr.index[principal_j_ideal(J, c)]) & 1)
-        if image not in jps:
-            raise CheckFailed(f"filter image not J-prime: cp={cps} jp={jps}")
-        pairs.append((F, image))
-        seen.append(image)
+    jps = J.filters
+    princ = [fr.index[principal_j_ideal(J, c)] for c in range(p.n)]
+    pairs = [(F, mask_of(c for c in range(p.n) if (F >> princ[c]) & 1)) for F in cps]
+    seen = [image for _, image in pairs]
+    if any(image not in jps for image in seen):
+        raise CheckFailed(f"filter image not J-prime: cp={cps} jp={jps}")
     if sorted(seen) != sorted(jps) or len(set(seen)) != len(seen):
         raise CheckFailed(f"not a bijection: cp={cps} jp={jps}")
-    inverse = {}
     for F, image in pairs:
         back = mask_of(
             i for i, m in enumerate(fr.element_masks) if m & image
         )
         if back != F:
             raise CheckFailed("inverse filter map mismatch")
-        inverse[image] = F
     return pairs, fr, jps
 
 
@@ -165,13 +144,11 @@ def filter_bijection(J, guard=None):
 # subterminal spaces
 
 
-def subterminal_space(J, guard=None, ideals=None, filters=None):
-    """Points are the J-prime filters; opens are F_I for J-ideals I.
+def subterminal_space(J, guard=None):
+    """Points are the J-prime filters; opens are F_I for J-ideals I, the
+    extents that J keeps (Site.extents).
 
     The sub-basis {F_c : c in C} is verified to generate the topology.
-    `ideals` and `filters`, when given, are j_ideals(J) and
-    j_prime_filters(J), already built by the caller.
-
     That one comparison also proves the opens a topology, so TopSpace
     does not check them again.  space_from_subbasis closes the sub-basis
     under intersection starting from the full set, which gives a family
@@ -183,32 +160,27 @@ def subterminal_space(J, guard=None, ideals=None, filters=None):
     generated family is a topology on the n points, and opens equal to
     it are one too.
     """
-    p = J.base
-    ideals = j_ideals(J, guard=guard) if ideals is None else ideals
-    filters = j_prime_filters(J) if filters is None else filters
+    p, filters = J.base, J.filters
     n = len(filters)
-    opens = set()
-    for m in ideals:
-        opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
     labels = [set_label(p.label, F) for F in filters]
-    space = TopSpace(n, opens, labels=labels, _checked=True)
-    subbasis = [mask_of(i for i, F in enumerate(filters) if (F >> c) & 1) for c in range(p.n)]
-    generated = space_from_subbasis(n, subbasis, labels=labels)
+    space = TopSpace(n, J.extents(guard), labels=labels, _checked=True)
+    # F_c, the filters holding c, for each c
+    generated = space_from_subbasis(n, transpose(filters, p.n), labels=labels)
     if generated.opens != space.opens:
         raise CheckFailed("sub-basis {F_c} does not generate the subterminal topology")
     return space
 
 
-def gamma_subterminal_space(J, gamma_indices, guard=None, frame=None, filters=None):
+def gamma_subterminal_space(J, gamma_indices, guard=None):
     """Subterminal topology restricted to a subframe of Id_J(C).
 
     gamma_indices picks elements of ideal_frame(J); they must include the
     bounds and be closed under binary meet and join.  The points are all
-    the J-prime filters.  `frame` and `filters`, when given, are
-    ideal_frame(J) and j_prime_filters(J), already built by the caller.
+    the J-prime filters, and the opens the extents of the picked ideals:
+    the frame lists the ideals in the order of J.ideals().
     """
     p = J.base
-    fr = ideal_frame(J, guard=guard) if frame is None else frame
+    fr = ideal_frame(J, guard=guard)
     gset = sorted(set(gamma_indices))
     for g in gset:
         if not 0 <= g < fr.n:
@@ -219,27 +191,22 @@ def gamma_subterminal_space(J, gamma_indices, guard=None, frame=None, filters=No
         for b in gset:
             if fr.meet[a][b] not in gset or fr.join[a][b] not in gset:
                 raise InvalidStructure("subframe must be closed under meet and join")
-    filters = j_prime_filters(J) if filters is None else filters
-    opens = set()
-    for g in gset:
-        m = fr.element_masks[g]
-        opens.add(mask_of(x for x, F in enumerate(filters) if F & m))
-    return TopSpace(len(filters), opens, labels=[set_label(p.label, F) for F in filters])
+    extents, filters = J.extents(guard), J.filters
+    return TopSpace(len(filters), {extents[g] for g in gset},
+                    labels=[set_label(p.label, F) for F in filters])
 
 
-def enough_points(J, guard=None, ideals=None, filters=None):
+def enough_points(J, guard=None):
     """Whether the J-prime filters separate the J-ideals.
 
     Finitely this can fail for exotic topologies; when it does, the
     open-set frame of the subterminal space is a proper quotient of
     Id_J(C) and we report the failure instead of assuming spatiality.
-    Returns (flag, ideal_count, distinct_extents).  `ideals` and
-    `filters` are as in subterminal_space.
+    Returns (flag, ideal_count, distinct_extents).
     """
-    ideals = j_ideals(J, guard=guard) if ideals is None else ideals
-    filters = j_prime_filters(J) if filters is None else filters
-    extents = {mask_of(i for i, F in enumerate(filters) if F & m) for m in ideals}
-    return len(extents) == len(ideals), len(ideals), len(extents)
+    extents = J.extents(guard)
+    distinct = len(set(extents))
+    return distinct == len(extents), len(extents), distinct
 
 
 def induced_map(f, J, K):
@@ -252,8 +219,7 @@ def induced_map(f, J, K):
         raise InvalidStructure(f"site morphism must preserve covers; fails at {witness}")
     src = subterminal_space(K)
     dst = subterminal_space(J)
-    kfilters = j_prime_filters(K)
-    jfilters = j_prime_filters(J)
+    kfilters, jfilters = K.filters, J.filters
     assign = []
     for F in kfilters:
         pre = f.preimage_mask(F)

@@ -8,7 +8,8 @@ The ideal machinery here avoids materialising sieves: the saturated
 covering of the Zariski coverage has an explicit arithmetic description
 (a power of the covered element is a linear combination of the family),
 which doubles as the independent oracle the generic saturation is
-compared against on small rings.
+compared against on small rings.  Each ring keeps what is derived from
+it in its own ZariskiSite, `ring.site`.
 """
 
 from functools import cached_property
@@ -97,6 +98,11 @@ class FiniteCommRing:
 
     def label(self, a):
         return self.labels[a]
+
+    @cached_property
+    def site(self):
+        """The ring's ZariskiSite, which keeps what is derived from it."""
+        return ZariskiSite(self)
 
     def __repr__(self):
         return f"FiniteCommRing(n={self.n})"
@@ -212,7 +218,7 @@ class RingIdeal:
             for r in range(ring.n):
                 if not (members >> ring.mul[a][r]) & 1:
                     raise InvalidStructure("does not absorb multiplication")
-        is_prime = members in prime_ideals(ring)
+        is_prime = members in ring.site.primes
         if prime is not None and prime != is_prime:
             raise InvalidStructure("primality flag is wrong")
         self.prime = is_prime
@@ -275,8 +281,8 @@ def prime_ideals(ring):
     return [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
 
 
-def prime_filters_ring(ring, primes=None):
-    """Complements of prime ideals (found here unless given), ascending.
+def prime_filters_ring(ring):
+    """Complements of prime ideals, ascending.
 
     The filter axioms are rechecked for all of them in one pass over the
     tables: element a holds the mask mem[a] of the filters containing
@@ -284,7 +290,7 @@ def prime_filters_ring(ring, primes=None):
     clause is mem[a + b] within mem[a] | mem[b].
     """
     full = (1 << ring.n) - 1
-    out = sorted(full & ~P for P in (primes if primes is not None else prime_ideals(ring)))
+    out = sorted(full & ~P for P in ring.site.primes)
     mem = transpose(out, ring.n)
     if mem[ring.one] != (1 << len(out)) - 1 or mem[ring.zero]:
         raise CheckFailed("prime filter fails the unit clauses")
@@ -399,12 +405,11 @@ def _semigroup_sums(ring, elems):
     return closed_family(elems, elems, lambda s, y: ring.add[s][y])
 
 
-def zariski_coverage(ring, s=None, guard=None):
+def zariski_coverage(ring, guard=None):
     """The coverage on S(A): the empty family covers the class of 0, and
     a finite family of classes below x covers x when representatives sum
     into x's class.  Materialised only for small S(A)."""
-    if s is None:
-        _, _, s = s_monoid(ring)
+    s = ring.site.s
     bound = guard if guard is not None else config.SATURATION_GUARD
     if s.n > bound:
         raise GuardExceeded("zariski coverage table", s.n, bound)
@@ -458,10 +463,9 @@ def zariski_closure(ring, s, mask):
     return out
 
 
-def zariski_ideal_frame(ring, s=None, guard=None):
+def zariski_ideal_frame(ring, guard=None):
     """Id_C(S(A)) built from principal closures under join."""
-    if s is None:
-        _, _, s = s_monoid(ring)
+    s = ring.site.s
     po = s.poset
     cl = lambda m: zariski_closure(ring, s, m)
     principals = [cl(po.dn[x]) for x in range(s.n)]
@@ -529,7 +533,7 @@ class _Relations:
         return chain.from_iterable(self.buckets())
 
 
-def zariski_lattice(ring, guard=None, site=None):
+def zariski_lattice(ring, guard=None):
     """The lattice L(A), built two independent ways and cross-checked.
 
     (1) as the distributive lattice presented by the D(a) relations
@@ -539,13 +543,10 @@ def zariski_lattice(ring, guard=None, site=None):
         own lattice of compact elements.
 
     Returns (frame, D) where D maps ring elements to frame elements of
-    construction (2); a mismatch between the two aborts.  A given site
-    brings its own S(A) and frame; a given guard rebuilds the frame
-    under that guard.
+    construction (2); a mismatch between the two aborts.
     """
-    site = site if site is not None else ZariskiSite(ring)
-    pi, s = site.pi, site.s
-    fr = site.frame if guard is None else zariski_ideal_frame(ring, s, guard=guard)
+    site = ring.site
+    fr = site.frame(guard)
     pres = zariski_presentation(ring)
     if ring.n <= config.FREE_DLAT_GUARD:
         lat = present_coherent(pres)
@@ -553,7 +554,8 @@ def zariski_lattice(ring, guard=None, site=None):
         lat = present_semantic(pres)
     if iso_search(lat.frame, fr) is None:
         raise CheckFailed("presented Zariski lattice differs from the ideal-frame construction")
-    D = [fr.index[site.closure(s.poset.dn[pi[a]])] for a in range(ring.n)]
+    s = site.s
+    D = [fr.index[site.closure(s.poset.dn[s.pi[a]])] for a in range(ring.n)]
     return fr, D
 
 
@@ -561,10 +563,9 @@ def zariski_lattice(ring, guard=None, site=None):
 # spectra
 
 
-def spec_space(ring, primes=None):
-    """Spec(A) with the Zariski topology; basic opens are D(a).  The
-    prime ideals are found here unless given."""
-    primes = primes if primes is not None else prime_ideals(ring)
+def spec_space(ring):
+    """Spec(A) with the Zariski topology; basic opens are D(a)."""
+    primes = ring.site.primes
     subbasis = [
         mask_of(i for i, P in enumerate(primes) if not (P >> a) & 1) for a in range(ring.n)
     ]
@@ -572,15 +573,13 @@ def spec_space(ring, primes=None):
     return space_from_subbasis(len(primes), subbasis, labels=labels), primes
 
 
-def zariski_point_space(ring, s=None, frame=None, primes=None):
+def zariski_point_space(ring):
     """The subterminal space over (S(A), C): points are the C-prime
     filters on S(A), opens are the F_I over C-ideals I in the frame
-    Id_C(S(A)).  The monoid, the frame and the prime ideals are built
-    here unless given."""
-    if s is None:
-        _, _, s = s_monoid(ring)
+    Id_C(S(A))."""
+    s = ring.site.s
     po = s.poset
-    ring_filters = prime_filters_ring(ring, primes)
+    ring_filters = prime_filters_ring(ring)
     filters = []
     for S in ring_filters:
         F = mask_of(s.pi[a] for a in bits(S))
@@ -591,10 +590,8 @@ def zariski_point_space(ring, s=None, frame=None, primes=None):
     filters = sorted(set(filters))
     if len(filters) != len(ring_filters):
         raise CheckFailed("class map identified two distinct prime filters")
-    fr = frame if frame is not None else zariski_ideal_frame(ring, s)
-    opens = set()
-    for m in fr.element_masks:
-        opens.add(mask_of(i for i, F in enumerate(filters) if F & m))
+    opens = {mask_of(i for i, F in enumerate(filters) if F & m)
+             for m in ring.site.frame().element_masks}
     labels = [set_label(po.label, F) for F in filters]
     return TopSpace(len(filters), opens, labels=labels), filters
 
@@ -619,13 +616,12 @@ def _check_c_prime(ring, s, filters):
         raise CheckFailed("filter misses a sum decomposition")
 
 
-def spectra_homeomorphism(ring, site=None):
+def spectra_homeomorphism(ring):
     """The explicit homeomorphism between the point space of (S(A), C)
     and Spec(A) with the Zariski topology, verified open-for-open."""
-    site = site if site is not None else ZariskiSite(ring)
-    pi = site.pi
-    space1, filters = zariski_point_space(ring, site.s, site.frame, site.primes)
-    space2, primes = spec_space(ring, site.primes)
+    pi = ring.site.s.pi
+    space1, filters = zariski_point_space(ring)
+    space2, primes = spec_space(ring)
     if space1.n != space2.n:
         raise CheckFailed(f"point counts differ: {space1.n} vs {space2.n}")
     full = (1 << ring.n) - 1
@@ -645,30 +641,36 @@ def spectra_homeomorphism(ring, site=None):
 
 
 class ZariskiSite:
-    """Caches for repeated Zariski computations over one ring: the monoid
-    quotient, the frame Id_C(S(A)) and the prime ideals (both found on
-    first use), the powers of each element as a mask, generated ideals,
-    and C-ideal closures."""
+    """What the Zariski constructions derive from a ring, found on first
+    use and kept (a ring holds its own as `ring.site`): S(A), the frame
+    Id_C(S(A)), the prime ideals, the powers of each element as a mask,
+    generated ideals and C-ideal closures.  Read under a bound below its
+    size, the frame is listed again, and the listing refuses.
+    """
+
+    _frame = None
 
     def __init__(self, ring):
         self.ring = ring
-        _, self.pi, self.s = s_monoid(ring)
-        self._powers = {}
         self._ideals = {}
         self._closures = {}
 
     @cached_property
-    def frame(self):
-        return zariski_ideal_frame(self.ring, self.s)
+    def s(self):
+        return s_monoid(self.ring)[2]
+
+    def frame(self, guard=None):
+        if self._frame is None or self._frame.n > config.frame_guard(guard):
+            self._frame = zariski_ideal_frame(self.ring, guard=guard)
+        return self._frame
 
     @cached_property
     def primes(self):
         return prime_ideals(self.ring)
 
-    def powers(self, a):
-        if a not in self._powers:
-            self._powers[a] = mask_of(_powers_till_cycle(self.ring, a))
-        return self._powers[a]
+    @cached_property
+    def powers(self):
+        return [mask_of(_powers_till_cycle(self.ring, a)) for a in range(self.ring.n)]
 
     def ideal(self, bs):
         key = frozenset(bs)
@@ -682,17 +684,17 @@ class ZariskiSite:
         return self._closures[mask]
 
 
-def radical_membership(ring, a, bs, site=None):
+def radical_membership(ring, a, bs):
     """Whether some power of a lies in the ideal generated by bs.
 
     Decided on the ring side by power iteration, and on the lattice side
     by D(a) <= D(b_1) v ... v D(b_r) in Id_C(S(A)); the two must agree.
     """
-    site = site if site is not None else ZariskiSite(ring)
-    ring_side = site.ideal(bs) & site.powers(a) != 0
-    pi, s = site.pi, site.s
-    lhs = site.closure(s.poset.dn[pi[a]])
-    rhs = site.closure(mask_of(pi[b] for b in bs))
+    site = ring.site
+    ring_side = site.ideal(bs) & site.powers[a] != 0
+    s = site.s
+    lhs = site.closure(s.poset.dn[s.pi[a]])
+    rhs = site.closure(mask_of(s.pi[b] for b in bs))
     lattice_side = lhs & ~rhs == 0
     if ring_side != lattice_side:
         raise CheckFailed(f"radical membership disagreement at a={a}, bs={bs}")

@@ -14,22 +14,33 @@ degree than the fast paths, and only meant for small carriers.  The
 rest are the direct forms of the table builders: bits by shifting,
 relations pair by pair, frame tables cell by cell, the cubic check that
 tables make a distributive lattice, and the subterminal space from the
-ideal frame with its pairwise topology check.  Terms are also kept here as trees, with a recursive
+ideal frame with its pairwise topology check.  The sieve loops that
+the library's mask tests on D replaced are kept verbatim, each reading
+the sieve table of the saturation or the raw families; so is the order
+isomorphism search as a scan of permutations in lexicographic order.
+Terms are also kept here as trees, with a recursive
 evaluator, a conversion to the library's postfix codes and a
 one-assignment evaluator of those codes; and the lattice corpus by its
 literal definition.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from stonework.bits import bits, mask_of, submasks
 from stonework.corpus import posets_upto
-from stonework.coverage import ideal_frame, topology_failure
+from stonework.coverage import (
+    Coverage,
+    GrothendieckTopology,
+    all_sieves,
+    ideal_frame,
+    saturate,
+    topology_failure,
+)
 from stonework.duality import supercompact_elements
 from stonework.errors import CheckFailed, InvalidStructure
 from stonework.order import lower_sets, set_label
-from stonework.presentations import JOIN, MEET, ONE, ZERO
-from stonework.spectra import TopSpace, is_j_prime_filter, j_prime_filters, space_from_subbasis
+from stonework.presentations import JOIN, MEET, ONE, ZERO, is_filtering
+from stonework.spectra import TopSpace, j_prime_filters, space_from_subbasis
 from stonework.zariski import all_ideals
 
 
@@ -167,7 +178,165 @@ def brute_ideal_frame(p, sieves):
 
 def brute_j_prime_filters(J):
     """Every subset of the carrier that is a J-prime filter, ascending."""
-    return [m for m in range(1 << J.base.n) if is_j_prime_filter(J, m)]
+    return [m for m in range(1 << J.base.n) if loop_is_j_prime_filter(J, m)]
+
+
+# ---------------------------------------------------------------------------
+# the sieve loops that the mask tests on D replaced, verbatim
+
+
+def loop_is_j_prime_filter(J, mask):
+    """Nonempty, up-closed, downward-directed, and meeting some member of
+    every covering sieve of every member."""
+    p = J.base
+    if mask == 0:
+        return False
+    for a in bits(mask):
+        if p.up[a] & ~mask:
+            return False
+    for a in bits(mask):
+        for b in bits(mask):
+            if not (p.dn[a] & p.dn[b] & mask):
+                return False
+    if isinstance(J, GrothendieckTopology):
+        for a in bits(mask):
+            for s in J.sieves[a]:
+                if not (s & mask):
+                    return False
+    else:
+        for a in bits(mask):
+            for fam in J.covers[a]:
+                if not (fam & mask):
+                    return False
+    return True
+
+
+def loop_is_j_filtering(J, frame, f):
+    """Filtering, and every cover's images join to the member's image."""
+    base = J.base
+    if not is_filtering(base, frame, f):
+        return False
+    fams = J.sieves if isinstance(J, GrothendieckTopology) else J.covers
+    for c in range(base.n):
+        for fam in fams[c]:
+            if frame.join_set(mask_of(f[d] for d in bits(fam))) != f[c]:
+                return False
+    return True
+
+
+def loop_is_cover_preserving(f, J, K):
+    """f sends J-covers to families generating K-covers."""
+    J, K = saturate(J), saturate(K)
+    for c in range(f.dom.n):
+        for s in J.sieves[c]:
+            image = mask_of(f(c2) for c2 in bits(s))
+            sieve = f.cod.down_closure(image) & f.cod.dn[f(c)]
+            if sieve not in K.sieves[f(c)]:
+                return False, (c, s)
+    return True, None
+
+
+def loop_is_subcanonical(J):
+    """Every covering sieve has the covered element as its supremum."""
+    J = saturate(J)
+    p = J.base
+    for c in range(p.n):
+        for s in J.sieves[c]:
+            for c2 in range(p.n):
+                if s & ~p.dn[c2] == 0 and not p.leq(c, c2):
+                    return False
+    return True
+
+
+def loop_is_j_dense(J, dmask):
+    """Density of a subset: every element has a covering family inside it.
+
+    Families need not be down-closed, so the test is whether the sieve
+    generated by D intersected with (c)down covers c.
+    """
+    J = saturate(J)
+    p = J.base
+    for c in range(p.n):
+        if p.down_closure(dmask & p.dn[c]) not in J.sieves[c]:
+            return False, c
+    return True, None
+
+
+def loop_induced_coverage(J, dmask):
+    """The coverage a J-dense subset inherits: restrictions of covers."""
+    J = saturate(J)
+    p = J.base
+    ok, witness = loop_is_j_dense(J, dmask)
+    if not ok:
+        raise InvalidStructure(f"subset is not dense: element {witness} has no covering inside it")
+    delems = sorted(bits(dmask))
+    pos = {e: i for i, e in enumerate(delems)}
+    sub = p.restrict(delems)
+    covers = []
+    for a in delems:
+        fams = set()
+        for t in J.sieves[a]:
+            fams.add(mask_of(pos[b] for b in bits(t & dmask)))
+        covers.append(frozenset(fams))
+    cov = Coverage(sub, covers)
+    return sub, cov, delems
+
+
+def loop_contains(J, J2):
+    """Whether every J-covering sieve covers in J2, table against table:
+    the containment check of subtopology_from_surjection."""
+    J, J2 = saturate(J), saturate(J2)
+    return all(J.sieves[c] <= J2.sieves[c] for c in range(J.base.n))
+
+
+def loop_j_closed_sieves(J, c):
+    """Sieves on c closed for the topology: containing every element
+    whose restriction covers."""
+    p = J.base
+    out = []
+    for s in all_sieves(p, c):
+        closed = True
+        for d in bits(p.dn[c]):
+            if (s >> d) & 1:
+                continue
+            if (s & p.dn[d]) in J.sieves[d]:
+                closed = False
+                break
+        if closed:
+            out.append(s)
+    return out
+
+
+def loop_godel_dummett_site(J):
+    """The site-level law: for J-closed sieves R, S on c, the sieve of
+    elements where the restrictions nest is J-covering."""
+    J = saturate(J)
+    p = J.base
+    for c in range(p.n):
+        closed = loop_j_closed_sieves(J, c)
+        for r in closed:
+            for s in closed:
+                t = mask_of(
+                    d
+                    for d in bits(p.dn[c])
+                    if (r & p.dn[d]) & ~(s & p.dn[d]) == 0
+                    or (s & p.dn[d]) & ~(r & p.dn[d]) == 0
+                )
+                if t not in J.sieves[c]:
+                    return False
+    return True
+
+
+def least_iso(a, b):
+    """The lexicographically least order isomorphism between two posets,
+    as a tuple indexed by elements of `a`, or None: the first of all
+    permutations, in order, that preserves and reflects the order."""
+    if a.n != b.n:
+        return None
+    for perm in permutations(range(b.n)):
+        if all(a.leq(i, j) == b.leq(perm[i], perm[j]) for i in range(a.n) for j in range(a.n)):
+            return perm
+    return None
 
 
 def frame_subterminal_space(J):

@@ -66,7 +66,6 @@ from stonework.spectra import (
     sobrification,
 )
 from stonework.zariski import (
-    ZariskiSite,
     power_combination_covers,
     radical_membership,
     ring_product,
@@ -372,20 +371,19 @@ def test_criterion_6_zariski():
     triples = 0
     for n in range(1, 31):
         r = ring_zmod(n)
-        site = ZariskiSite(r)
         for a in range(n):
-            radical_membership(r, a, [], site=site)
+            radical_membership(r, a, [])
             for b1 in range(n):
-                radical_membership(r, a, [b1], site=site)
+                radical_membership(r, a, [b1])
                 for b2 in range(n):
-                    radical_membership(r, a, [b1, b2], site=site)
+                    radical_membership(r, a, [b1, b2])
                     triples += 1
     for n in range(1, 91):
         zariski_lattice(ring_zmod(n))
     for n in range(1, 31):
         r = ring_zmod(n)
         po, pi, s = s_monoid(r)
-        J = saturate(zariski_coverage(r, s))
+        J = saturate(zariski_coverage(r))
         for x in range(po.n):
             for sieve in [m for m in submasks(po.dn[x]) if po.is_down_closed(m)]:
                 assert (sieve in J.sieves[x]) == power_combination_covers(r, s, x, sieve)

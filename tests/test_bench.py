@@ -10,6 +10,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from stonework import cli
 from stonework.presentations import relation_models
 from stonework.zariski import ring_zmod, zariski_presentation
@@ -44,14 +46,16 @@ def test_tracer_counts_the_streamed_relations():
             "relations": n * (n + 1) + 2, "models": len(models)}
 
 
-def test_every_zariski_rings_digest_holds(tmp_path, monkeypatch):
-    # every zariski-rings job of the benchmark's pool, and its largest
+@pytest.mark.parametrize("workload, count", [("zariski-rings", 73), ("point-spectra", 113)],
+                         ids=["zariski-rings", "point-spectra"])
+def test_every_workload_digest_holds(tmp_path, monkeypatch, workload, count):
+    # every job of the workload in the benchmark's pool, and its largest
     # instance, prints the bytes whose sha256 the pool recorded
     monkeypatch.delenv("STONEWORK_GUARD", raising=False)
     inputs = _bench_module("inputs")
-    work = json.loads((BENCH / "pool.json").read_text())["workloads"]["zariski-rings"]
+    work = json.loads((BENCH / "pool.json").read_text())["workloads"][workload]
     entries = {e["id"]: e for e in [e for slot in work["slots"] for e in slot["jobs"]] + work["largest"]}
-    assert len(entries) == 73
+    assert len(entries) == count
     for entry in entries.values():
         argv = list(entry["argv"])
         if entry["input"] is not None:

@@ -345,6 +345,26 @@ class TestNoSaturationWhereOnlyFramesAreRead:
         assert code == 0
         assert json.loads(out)["result"]["frame"] is False
 
+    @pytest.mark.parametrize("argv, field, value", [
+        (["--invariant", "boolean"], "conditions", False),
+        (["--invariant", "demorgan", "--kind", "dlat"], "conditions", True),
+        (["--invariant", "twovalued", "--kind", "dlat"], "frame", False),
+    ], ids=["boolean", "demorgan-dlat", "twovalued-dlat"])
+    def test_frame_only_check_chain17(self, capsys, chain17_file, argv, field, value):
+        # these read only the Stone frame, the ideal frame of the coherent
+        # coverage; a chain is De Morgan but neither Boolean nor two-valued
+        code, out = run(capsys, "check", *argv, "--input", chain17_file)
+        assert code == 0
+        got = json.loads(out)["result"][field]
+        assert (set(got.values()) if isinstance(got, dict) else {got}) == {value}
+
+    def test_gd_chain17_still_refused(self, capsys, chain17_file):
+        # the Goedel-Dummett site law lists the sieves on each element
+        code, out = run(capsys, "check", "--invariant", "gd", "--input", chain17_file)
+        assert code == 1
+        assert json.loads(out) == {"error": "GuardExceeded",
+                                   "message": "saturation would need 17 elements, over the guard of 16"}
+
     def test_space_on_covers_file_of_chain18(self, capsys, tmp_path):
         # {c4} covers c5 and {c9} covers c10, so D is the other 16 elements
         f = tmp_path / "site.json"

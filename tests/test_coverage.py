@@ -32,9 +32,9 @@ from stonework.coverage import (
     topologies_equal_by_ideals,
     trivial_coverage,
 )
-from stonework.errors import InvalidStructure
+from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import as_poset, iso_search, lower_sets, preorder_from_pairs
-from stonework.spectra import j_prime_filters
+from stonework.spectra import enough_points, j_prime_filters, subterminal_space
 
 from oracles import (
     brute_all_sieves,
@@ -441,3 +441,21 @@ class TestSubtopology:
         fr = ideal_frame(J)
         with pytest.raises(InvalidStructure):
             subtopology_from_surjection(J, fr, [0, 0, 0])
+
+
+class TestSiteCache:
+    def test_cached_ideals_keep_the_guard(self):
+        # the 3-antichain has 8 ideals; once they are kept, a read under
+        # a guard of 5 refuses exactly as a first listing does
+        p = preorder_from_pairs(3, [])
+        with pytest.raises(GuardExceeded) as first:
+            trivial_coverage(p).ideals(guard=5)
+        J = trivial_coverage(p)
+        assert subterminal_space(J) and len(J.ideals()) == 8
+        for read in (J.ideals, lambda guard: ideal_frame(J, guard=guard),
+                     lambda guard: subterminal_space(J, guard=guard),
+                     lambda guard: enough_points(J, guard=guard)):
+            with pytest.raises(GuardExceeded) as again:
+                read(guard=5)
+            assert str(again.value) == str(first.value)
+        assert J.ideals(guard=8) is J.ideals()

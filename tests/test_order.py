@@ -36,6 +36,7 @@ from oracles import (
     cell_frame_tables,
     cell_order_tables,
     cubic_frame_check,
+    least_iso,
     pairwise_dn,
     pairwise_inclusion_up,
     shift_bits,
@@ -418,6 +419,18 @@ class TestIsoSearch:
         for a in ps:
             for b in ps:
                 assert (iso_search(a, b) is None) == (iso_search(b, a) is None)
+
+    def test_lexicographically_least_witness(self):
+        ps = posets_upto(4) + [lower_sets(p).poset for p in posets_upto(3)]
+        for a in ps:
+            for b in ps:
+                assert iso_search(a, b) == least_iso(a, b), (a, b)
+
+    def test_no_recursion_limit(self):
+        # one search step per element, past the interpreter's default
+        # recursion limit of 1,000
+        q = as_poset(preorder_from_pairs(1050, []))
+        assert iso_search(q, q) == tuple(range(1050))
 
 
 def test_transitive_reduction_chain(chain3):

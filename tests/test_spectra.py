@@ -212,13 +212,15 @@ class TestFrameFreeSpace:
                              ids=["no-union", "no-intersection"])
     def test_planted_non_topology_refused(self, planted):
         # on the 3-antichain the filters are the singletons, so each
-        # planted "ideal" is its own open; neither family is a topology
+        # "ideal" planted in the site's cache is its own open; neither
+        # family is a topology
         J = saturate(trivial_coverage(preorder_from_pairs(3, [])))
         assert j_prime_filters(J) == [0b001, 0b010, 0b100]
         with pytest.raises(InvalidStructure):
             TopSpace(3, planted)
+        J._ideals = planted
         with pytest.raises(CheckFailed, match="does not generate"):
-            subterminal_space(J, ideals=planted)
+            subterminal_space(J)
 
 
 class TestGammaSubterminal:

@@ -16,7 +16,6 @@ from stonework.spectra import j_prime_filters
 from stonework import zariski
 from stonework.zariski import (
     FiniteCommRing,
-    ZariskiSite,
     all_ideals,
     ideal_generated,
     power_combination_covers,
@@ -266,10 +265,11 @@ class TestIdeals:
         (mask_of([0, 2, 3, 4]), "sum clause"),      # the units {1, 5}: 2 + 3 = 5
     ])
     def test_prime_filter_recheck_planted_faults(self, planted, message):
+        # planted among the primes that the ring's site keeps
         r = ring_zmod(6)
-        good = prime_ideals(r)
+        r.site.primes = prime_ideals(r) + [planted]
         with pytest.raises(CheckFailed, match=f"prime filter fails the {message}"):
-            prime_filters_ring(r, good + [planted])
+            prime_filters_ring(r)
 
 
 class TestSMonoid:
@@ -311,13 +311,13 @@ class TestCoverage:
     def test_zmod2_empty_covers_zero(self):
         r = ring_zmod(2)
         po, pi, s = s_monoid(r)
-        cov = zariski_coverage(r, s)
+        cov = zariski_coverage(r)
         assert 0 in cov.covers[pi[0]]
 
     def test_zmod6_atoms_cover_top(self):
         r = ring_zmod(6)
         po, pi, s = s_monoid(r)
-        cov = zariski_coverage(r, s)
+        cov = zariski_coverage(r)
         # classes of 2 and 3 cover the class of 1 (e.g. 4 + 3 = 1)
         fam = (1 << pi[2]) | (1 << pi[3])
         assert any(fam & ~f == 0 or f == fam for f in cov.covers[pi[1]] if f & ~po.dn[pi[1]] == 0)
@@ -327,7 +327,7 @@ class TestCoverage:
         for n in range(1, 31):
             r = ring_zmod(n)
             po, pi, s = s_monoid(r)
-            J = saturate(zariski_coverage(r, s))
+            J = saturate(zariski_coverage(r))
             for x in range(po.n):
                 for sieve in [m for m in range(1 << po.n) if m & ~po.dn[x] == 0 and po.is_down_closed(m)]:
                     assert (sieve in J.sieves[x]) == power_combination_covers(r, s, x, sieve), (n, x, sieve)
@@ -336,7 +336,7 @@ class TestCoverage:
         for n in (2, 4, 6, 12):
             r = ring_zmod(n)
             po, pi, s = s_monoid(r)
-            J = saturate(zariski_coverage(r, s))
+            J = saturate(zariski_coverage(r))
             for m in po.down_sets():
                 assert zariski_closure(r, s, m) == j_closure(J, m)
 
@@ -358,12 +358,15 @@ class TestLattice:
         assert fr.n == 1
 
     def test_guard_applies_with_a_site(self):
+        # the ring's site keeps the frame, and a smaller guard still refuses
         r = ring_zmod(6)
-        site = ZariskiSite(r)
         with pytest.raises(GuardExceeded):
-            zariski_lattice(r, guard=3, site=site)
-        fr, _ = zariski_lattice(r, site=site)
-        assert fr is site.frame and fr.n == 4
+            zariski_lattice(r, guard=3)
+        fr, _ = zariski_lattice(r)
+        assert fr is r.site.frame() and fr.n == 4
+        with pytest.raises(GuardExceeded, match="zariski ideal frame"):
+            zariski_lattice(r, guard=3)
+        assert zariski_lattice(r, guard=4)[0] is fr
 
     def test_both_constructions_small_corpus(self):
         for n in range(1, 16):
@@ -401,7 +404,7 @@ class TestLattice:
         for n in range(1, 41):
             r = ring_zmod(n)
             _, _, s = s_monoid(r)
-            fr = zariski_ideal_frame(r, s)
+            fr = zariski_ideal_frame(r)
             meet, join = cell_frame_tables(fr.element_masks, lambda m: zariski_closure(r, s, m))
             assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join)), n
 
@@ -438,8 +441,8 @@ class TestSpectra:
         for n in (2, 4, 6, 12):
             r = ring_zmod(n)
             po, pi, s = s_monoid(r)
-            sp, filters = zariski_point_space(r, s)
-            J = saturate(zariski_coverage(r, s))
+            sp, filters = zariski_point_space(r)
+            J = saturate(zariski_coverage(r))
             assert filters == j_prime_filters(J)
 
     @pytest.mark.parametrize("classes, message", [
@@ -454,7 +457,7 @@ class TestSpectra:
         po, pi, s = s_monoid(r)
         by_label = {po.label(x)[1:-1]: x for x in range(po.n)}
         planted = mask_of(by_label[c] for c in classes)
-        good = zariski_point_space(r, s)[1]
+        good = zariski_point_space(r)[1]
         with pytest.raises(CheckFailed, match=message):
             zariski._check_c_prime(r, s, good + [planted])
 
