@@ -31,7 +31,7 @@ from .duality import check_duality
 from .errors import FileError, ParseError, StoneworkError
 from .formats import (
     coverage_from_json,
-    dumps,
+    dump,
     frame_to_json,
     poset_from_json,
     poset_to_dot,
@@ -119,7 +119,7 @@ def _envelope(result, fmt="json"):
 
 
 def _emit(obj):
-    sys.stdout.write(dumps(obj))
+    dump(obj, sys.stdout.write)
 
 
 def cmd_ideal_frame(args):
@@ -274,9 +274,9 @@ def cmd_check(args):
         _emit(_envelope({"invariant": inv, "structure": structure, "frame": frame_side}))
         return 0
     if inv == "gd":
-        fr = lower_sets(p)
+        # the site law's saturation guard refuses before any frame is made
         site = godel_dummett_site(trivial_coverage(p))
-        external = godel_dummett_frame(fr)
+        external = godel_dummett_frame(lower_sets(p))
         _emit(
             _envelope(
                 {
@@ -451,16 +451,13 @@ def main(argv=None):
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except StoneworkError as exc:
-        sys.stdout.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
+        _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
     except FileNotFoundError as exc:
-        sys.stdout.write(dumps({"error": "FileNotFound", "message": str(exc)}))
+        _emit({"error": "FileNotFound", "message": str(exc)})
         return 1
     except json.JSONDecodeError as exc:
-        sys.stdout.write(
-            dumps({"error": "ParseError",
-                   "message": f"{exc.msg} (line {exc.lineno}, col {exc.colno})"})
-        )
+        _emit({"error": "ParseError", "message": f"{exc.msg} (line {exc.lineno}, col {exc.colno})"})
         return 1
 
 

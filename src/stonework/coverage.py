@@ -257,13 +257,14 @@ def ideal_frame(J, guard=None):
     """The frame Id_J(C) of all J-ideals under inclusion, for a coverage
     or a topology J_D: the j_ideals, with the join of two ideals the
     ideal over the union of their D-parts.
+
+    The family is closed under both, at any size: the J-ideals are the
+    fixed sets of the closure j_closure, so an intersection of two is
+    one, and a J-ideal is the closure of its D-part, so the ideal over
+    the union of two parts (a down-set of D, hence listed) is the least
+    one holding both.
     """
-    p, dmask = J.base, J.dmask
-    ideals = J.ideals(guard)
-    # the D-parts of the ideals, listed in the ideals' order
-    part = {m & dmask: i for i, m in enumerate(ideals)}
-    join = [[part[a | b] for b in part] for a in part]
-    return frame_of_down_sets(ideals, p, join=join, guard=guard)
+    return frame_of_down_sets(J.ideals(guard), J.base, dmask=J.dmask, guard=guard)
 
 
 def is_subcanonical(J):

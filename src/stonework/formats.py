@@ -85,13 +85,17 @@ def coverage_from_json(obj):
 
 
 def frame_to_json(fr):
+    """The frame's JSON object; its order pairs and tables are `Rows`,
+    which `dump` writes a row at a time from the frame's masks or tables,
+    with one lookup per cell of a digit string made here."""
+    digits = list(map(str, range(fr.n)))
     return {
         "elements": [fr.label(i) for i in range(fr.n)],
-        "leq": [[i, j] for i in range(fr.n) for j in bits(fr.poset.up[i]) if i != j],
+        "leq": Rows(lambda nl: _pair_rows(fr.poset.up, digits, nl)),
         "bot": fr.bot,
         "top": fr.top,
-        "meet": fr.meet,
-        "join": fr.join,
+        "meet": Rows(lambda nl: _table_rows(fr.meet_rows(digits), nl)),
+        "join": Rows(lambda nl: _table_rows(fr.join_rows(digits), nl)),
     }
 
 
@@ -148,56 +152,98 @@ def ring_from_json(obj):
     return FiniteCommRing(n, add, mul, zero, one)
 
 
-def dumps(obj):
-    """Canonical JSON text: sorted keys, no float drift, trailing newline.
+def dump(obj, write):
+    """Write the canonical JSON text of obj a piece at a time:
+    `write(piece)` for each piece, in order.
 
     The same bytes as json.dumps(obj, sort_keys=True, indent=2) + "\n",
     without the pure-Python indent encoder: a list of scalars is one call
-    of the C encoder, and a list of non-empty int rows, such as a frame's
-    tables or an order's pairs, is one join of digit strings per row.
+    of the C encoder, a list of non-empty int rows is one join of digit
+    strings per row, and a `Rows` list is written one row at a time.
     """
+    _write(obj, "\n", write)
+    write("\n")
+
+
+def dumps(obj):
+    """The text that `dump` writes, as one string."""
     out = []
-    _write(obj, "\n", out)
-    out.append("\n")
+    dump(obj, out.append)
     return "".join(out)
+
+
+class Rows:
+    """A list that `dump` writes without holding it: `texts(nl)` gives
+    the text of each item in turn, for items that start lines indented
+    as `nl`.  A list with no items is written as []."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+
+def _table_rows(rows, nl):
+    """The text of each row of digit strings, as a list of ints."""
+    cell = nl + "  "
+    sep, close = "," + cell, nl + "]"
+    for row in rows:
+        yield "[" + cell + sep.join(row) + close
+
+
+def _pair_rows(up, digits, nl):
+    """The pairs [i, j] with i strictly below j in the order `up`, the
+    text of all pairs with the same i at once, each j read off up[i]."""
+    cell = nl + "  "
+    ends = [d + nl + "]" for d in digits]
+    between = "," + nl
+    for i, u in enumerate(up):
+        if u & (u - 1):
+            head = "[" + cell + digits[i] + "," + cell
+            yield head + (between + head).join([ends[j] for j in bits(u) if j != i])
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _ROWS = frozenset({list, tuple})
 
 
-def _write(x, nl, out):
-    """Append the indent-2 text of x, where `nl` is a newline followed by
+def _write(x, nl, write):
+    """Write the indent-2 text of x, where `nl` is a newline followed by
     the indentation of the line that x starts on."""
     inner = nl + "  "
     kind = type(x)
     if kind is dict and x and set(map(type, x)) == {str}:
         sep = "{" + inner
         for key in sorted(x):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(x[key], inner, out)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write(x[key], inner, write)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
+        return
+    if kind is Rows:
+        sep = "[" + inner
+        for text in x.texts(inner):
+            write(sep + text)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else nl + "]")
         return
     if (kind is list or kind is tuple) and x:
         types = set(map(type, x))
         if types <= _SCALARS:
             encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
-            out.append("[" + inner + encode(x)[1:-1] + nl + "]")
+            write("[" + inner + encode(x)[1:-1] + nl + "]")
             return
         if types <= _ROWS:
             text = _int_rows(x, inner)
             if text is not None:
-                out += ("[" + inner, text, nl + "]")
+                write("[" + inner + text + nl + "]")
                 return
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _write(item, inner, out)
+            write(sep)
+            _write(item, inner, write)
             sep = "," + inner
-        out.append(nl + "]")
+        write(nl + "]")
         return
-    out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", nl))
+    write(json.dumps(x, sort_keys=True, indent=2).replace("\n", nl))
 
 
 def _int_rows(rows, nl):

@@ -5,6 +5,8 @@ The relation is stored per element as bitmasks: up[i] is the set of j with
 i <= j, dn[i] the set of j with j <= i.
 """
 
+from functools import cached_property
+
 from .bits import bits, mask_of, popcount, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
@@ -280,6 +282,11 @@ class FiniteFrame:
             self.join = tuple(map(tuple, join))
         except TypeError:
             raise InvalidStructure(self._shape_message()) from None
+        self._find_bounds()
+        if not _checked:
+            self._check()
+
+    def _find_bounds(self):
         full = (1 << self.n) - 1
         bot = [i for i in range(self.n) if self.poset.up[i] == full]
         top = [i for i in range(self.n) if self.poset.dn[i] == full]
@@ -287,8 +294,14 @@ class FiniteFrame:
             raise InvalidStructure("carrier is not bounded")
         self.bot = bot[0]
         self.top = top[0]
-        if not _checked:
-            self._check()
+
+    def meet_rows(self, names):
+        """The rows of the meet table, element x written as names[x]."""
+        return ([names[x] for x in row] for row in self.meet)
+
+    def join_rows(self, names):
+        """The rows of the join table, element x written as names[x]."""
+        return ([names[x] for x in row] for row in self.join)
 
     def _tables_from_order(self):
         """The meet of i and j is the element whose down-set is
@@ -432,6 +445,59 @@ class FiniteFrame:
         return f"FiniteFrame(n={self.n}, bot={self.bot}, top={self.top})"
 
 
+class SetFrame(FiniteFrame):
+    """A frame of subsets past 64 elements, from `frame_of_down_sets`:
+    it makes its tables only on first read, and until then gives their
+    rows straight from the masks (`_set_rows`).  The tables are
+    `cached_property`s of this class alone, as a class attribute named
+    meet keeps the interpreter from specializing any read of `.meet`,
+    which would slow the hot loops over small frames."""
+
+    def __init__(self, poset, element_masks, dmask=-1, join_closure=None):
+        self.poset = as_poset(poset)
+        self.n = poset.n
+        self.element_masks = tuple(element_masks)
+        self.index = {m: i for i, m in enumerate(self.element_masks)}
+        self._join_irreducibles = None
+        self._dmask = dmask
+        self._join_closure = join_closure
+        self._find_bounds()
+
+    @cached_property
+    def meet(self):
+        return tuple(map(tuple, self.meet_rows(range(self.n))))
+
+    @cached_property
+    def join(self):
+        return tuple(map(tuple, self.join_rows(range(self.n))))
+
+    def meet_rows(self, names):
+        if "meet" in vars(self):
+            return super().meet_rows(names)
+        return _set_rows(self.element_masks, self._dmask, self._join_closure, names)[0]
+
+    def join_rows(self, names):
+        if "join" in vars(self):
+            return super().join_rows(names)
+        return _set_rows(self.element_masks, self._dmask, self._join_closure, names)[1]
+
+
+def _set_rows(masks, dmask, join_closure, names):
+    """The rows of the meet and of the join table of a family of sets,
+    element x written as names[x], one lookup per cell: of the
+    intersection, of the closed union, or of the union of the parts in
+    dmask."""
+    name_of = dict(zip(masks, names))
+    meet = ([name_of[a & b] for b in masks] for a in masks)
+    if join_closure is not None:
+        return meet, ([name_of[join_closure(a | b)] for b in masks] for a in masks)
+    parts, part_of = masks, name_of
+    if dmask != -1:
+        parts = [m & dmask for m in masks]
+        part_of = dict(zip(parts, names))
+    return meet, ([part_of[a | b] for b in parts] for a in parts)
+
+
 def closed_family(seeds, gens, op, close=None, bound=None, what=None):
     """Least set containing `seeds` and closed under x -> close(op(x, g))
     for every g in `gens`; `close` defaults to the identity.
@@ -476,8 +542,14 @@ def inclusion_order(masks, labels=None):
 
     masks[i] lies inside masks[j] when j holds every b in masks[i], so
     up[i] is the meet, over the b in masks[i], of the members holding b.
+    Inclusion is a partial order on distinct sets, so once the masks are
+    seen to be distinct the order needs no check.
     """
     n = len(masks)
+    if len(set(masks)) != n:
+        i = next(i for i, m in enumerate(masks) if masks.count(m) > 1)
+        j = masks.index(masks[i], i + 1)
+        raise InvalidStructure(f"not antisymmetric: {i} <= {j} <= {i}")
     holders = transpose(masks, max(masks, default=0).bit_length())
     everyone = (1 << n) - 1
     up = []
@@ -486,54 +558,55 @@ def inclusion_order(masks, labels=None):
         for b in bits(m):
             u &= holders[b]
         up.append(u)
-    return Poset(n, up, labels=labels)
+    return Poset(n, up, labels=labels, _checked=True)
 
 
-def frame_of_down_sets(family, ambient, labels=None, join_closure=None, join=None, guard=None):
+def frame_of_down_sets(family, ambient, labels=None, join_closure=None, dmask=-1, guard=None):
     """Frame whose elements are the given subsets of an ambient carrier.
 
     Elements are sorted ascending as bitmasks.  Meet is intersection; join
-    is union when `join_closure` is None, else the closure of the union.
-    A caller that has the join table of the sorted elements already may
-    pass it as `join` instead.
+    is the closure of the union when `join_closure` is given, else the
+    element whose part in `dmask` is the union of the two parts (the
+    union itself for dmask = -1).
+
+    Up to 64 elements the tables are made and checked here, so a family
+    not closed under meet or join is refused.  Past that the frame is a
+    SetFrame, which makes a table only where one is read, and the check
+    stays off: each builder's family is closed by a theorem in its
+    docstring, and the check alone, though O(n²), costs nearly as much as
+    a whole `ideal-frame` job on the 10-antichain's 1,024-element frame.
     """
     elems = sorted(set(family))
     bound = config.frame_guard(guard)
     if len(elems) > bound:
         raise GuardExceeded("frame", len(elems), bound)
-    index = {m: i for i, m in enumerate(elems)}
-    n = len(elems)
     if labels is None and ambient is not None:
         labels = [set_label(ambient.label, m) for m in elems]
     poset = inclusion_order(elems, labels)
+    if len(elems) > 64:
+        return SetFrame(poset, elems, dmask, join_closure)
+    meet, join = _set_rows(elems, dmask, join_closure, range(len(elems)))
     try:
-        meet = [[index[mi & mj] for mj in elems] for mi in elems]
+        meet = list(meet)
     except KeyError:
         raise InvalidStructure("family is not closed under intersection") from None
     try:
-        if join is None and join_closure is not None:
-            join = [[index[join_closure(mi | mj)] for mj in elems] for mi in elems]
-        elif join is None:
-            join = [[index[mi | mj] for mj in elems] for mi in elems]
+        join = list(join)
     except KeyError:
         raise InvalidStructure("family is not closed under join") from None
-    # meet as intersection and join as a closed union give a lattice by
-    # construction; the check guards the builders up to 64 elements.  Past
-    # that it stays off: though O(n²), on a large frame such as the
-    # 10-antichain's 1,024 elements it costs nearly as much as the whole
-    # `ideal-frame` job without it
-    fr = FiniteFrame(poset, meet, join, element_masks=elems, _checked=n > 64)
-    return fr
+    return FiniteFrame(poset, meet, join, element_masks=elems)
 
 
 def lower_sets(p, guard=None):
-    """The frame of all down-closed subsets of a preorder."""
+    """The frame of all down-closed subsets of a preorder: a family closed
+    under union and intersection, as both keep a set down-closed."""
     downs = p.down_sets(bound=config.frame_guard(guard), what="lower-set frame")
     return frame_of_down_sets(downs, p, guard=guard)
 
 
 def upper_sets(p, guard=None):
-    """The frame of all up-closed subsets of a preorder."""
+    """The frame of all up-closed subsets of a preorder: a family closed
+    under union and intersection, as both keep a set up-closed."""
     ups = p.up_sets(bound=config.frame_guard(guard), what="upper-set frame")
     return frame_of_down_sets(ups, p, guard=guard)
 
@@ -583,8 +656,13 @@ def iso_search(a, b):
     """Order isomorphism between two posets or frames, or None.
 
     Deterministic: returns the lexicographically least witness (as a
-    tuple indexed by elements of `a`).  For frames an order isomorphism
-    is automatically a lattice isomorphism, which is checked.
+    tuple indexed by elements of `a`).  For frames, or any lattices, an
+    order isomorphism is a lattice isomorphism, so no check follows: the
+    meet of x and y is the greatest of their common lower bounds, which
+    the order alone fixes, and f and its inverse preserve the order, so f
+    maps the lower bounds of {x, y} onto those of {f(x), f(y)} and the
+    greatest to the greatest; joins and the bounds likewise (Davey and
+    Priestley, Introduction to Lattices and Order, ch. 2).
 
     The depth-first search keeps its path in `assign`, not in recursion,
     so it runs at any size.  j fits i when each placed k < i lies above
@@ -624,11 +702,7 @@ def iso_search(a, b):
             i -= 1
             start = assign[i] + 1
             taken &= ~(1 << start - 1)
-    wit = tuple(assign)
-    if isinstance(a, FiniteFrame) and isinstance(b, FiniteFrame):
-        if frame_hom_failure(a, b, wit) is not None:
-            raise CheckFailed("order iso is not a lattice iso")
-    return wit
+    return tuple(assign)
 
 
 def frame_hom_failure(a, b, f):

@@ -172,7 +172,8 @@ def free_frame_on_set(k, guard=None):
     elemental space.  Returns (frame, generator element indices).
 
     Every upper set is a union of principal ones, so the carrier is the
-    union closure of the 2^k principal upper sets.
+    union closure of the 2^k principal upper sets; an intersection of
+    upper sets is one too, so the family is closed under both.
     """
     _nonnegative(k, "free frame on a set")
     if k > config.ELEMENTAL_GUARD:
@@ -247,6 +248,10 @@ def free_frame_on_cjsl(p, guard=None):
     closed under the covering rule; the unit sends a to the collection of
     subsets containing a.  Returns (frame, eta) with eta injective and
     join-preserving, which is verified.
+
+    The carrier is closed under the closed union by construction
+    (`closed_family`), and under intersection because the rules define
+    a closure whose fixed sets meet in fixed sets.
     """
     p = as_poset(p)
     if p.n > 4:
@@ -765,7 +770,9 @@ def present_semantic(pres, guard=None):
     presented lattice separate elements, and they are exactly the
     models.  Used as the oracle against the congruence route and as the
     engine for large generator sets.  A term's extent is its value with
-    the generator extents as values.
+    the generator extents as values.  The family, the unions of meets of
+    extents, is closed under union by construction and under
+    intersection by distributivity.
     """
     models = relation_models(pres)
     full = (1 << len(models)) - 1

@@ -41,7 +41,11 @@ class TopSpace:
         return self.labels[i] if self.labels else str(i)
 
     def opens_frame(self):
-        """Opens ordered by inclusion; meet is intersection, join union."""
+        """Opens ordered by inclusion; meet is intersection, join union.
+
+        The opens are closed under both at any size: the constructor
+        checks it, and each builder that skips the check makes a family
+        closed under both by construction."""
         return frame_of_down_sets(sorted(self.opens), None,
                                   labels=[set_label(self.label, m) for m in sorted(self.opens)])
 

@@ -464,7 +464,11 @@ def zariski_closure(ring, s, mask):
 
 
 def zariski_ideal_frame(ring, guard=None):
-    """Id_C(S(A)) built from principal closures under join."""
+    """Id_C(S(A)) built from principal closures under join.
+
+    The family is closed under the closed union by construction
+    (`closed_family`), and under intersection because it is the fixed
+    sets of the closure `zariski_closure`."""
     s = ring.site.s
     po = s.poset
     cl = lambda m: zariski_closure(ring, s, m)

@@ -838,3 +838,61 @@ def eval_code(code, m):
             stack.append(c == ONE if c < 0 else bool((m >> c) & 1))
     (value,) = stack
     return value
+
+
+# the scans over every collection of nonzero elements that
+# invariants.almost_discrete_conditions (iii), (iv) and
+# extremally_disconnected_conditions (iii) replaced by theorems
+
+
+def scan_dense_finite_subcover(d):
+    """Almost-discrete (iii): every dense collection of nonzero elements
+    has a finite subcover of 1, over all 2^(n-1) collections."""
+    c3 = True
+    nz = [a for a in range(d.n) if a != d.bot]
+    for sub in submasks(mask_of(nz)):
+        fam = list(bits(sub))
+        dense = all(any(d.meet[ai][a] != d.bot for ai in fam) for a in nz)
+        if dense and d.join_set(sub) != d.top:
+            c3 = False
+            break
+    return c3
+
+
+def scan_complemented_complete(d):
+    """Almost-discrete (iv): complementation, completeness over all 2^n
+    subsets, and finite-join suprema."""
+    every_complemented = all(d.complement_of(a) is not None for a in range(d.n))
+    complete = every_complemented and all(d.poset.lub(m) is not None for m in range(1 << d.n))
+    finite_sup = True  # a finite subset is its own finite subfamily
+    return every_complemented and complete and finite_sup
+
+
+def scan_collection_cover(d):
+    """Extremally disconnected (iii), over all 2^(n-1) collections, one
+    per join."""
+    c3 = True
+    nz = [a for a in range(d.n) if a != d.bot]
+    joins = set()
+    for sub in submasks(mask_of(nz)):
+        j = d.join_set(sub)
+        if j in joins:
+            continue
+        joins.add(j)
+        fam = [a for a in bits(sub)]
+        b1 = mask_of(
+            b for b in nz if all(d.meet[b][ai] == d.bot for ai in fam)
+        )
+        b2 = mask_of(
+            b
+            for b in nz
+            if all(
+                any(d.meet[x][ai] != d.bot for ai in fam)
+                for x in bits(d.poset.dn[b])
+                if x != d.bot
+            )
+        )
+        if d.join_set(b1 | b2) != d.top:
+            c3 = False
+            break
+    return c3

@@ -46,8 +46,9 @@ def test_tracer_counts_the_streamed_relations():
             "relations": n * (n + 1) + 2, "models": len(models)}
 
 
-@pytest.mark.parametrize("workload, count", [("zariski-rings", 73), ("point-spectra", 113)],
-                         ids=["zariski-rings", "point-spectra"])
+@pytest.mark.parametrize("workload, count",
+                         [("zariski-rings", 73), ("point-spectra", 113), ("ideal-frames", 57)],
+                         ids=["zariski-rings", "point-spectra", "ideal-frames"])
 def test_every_workload_digest_holds(tmp_path, monkeypatch, workload, count):
     # every job of the workload in the benchmark's pool, and its largest
     # instance, prints the bytes whose sha256 the pool recorded

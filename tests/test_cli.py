@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from stonework.cli import main
 from stonework.formats import (
     coverage_from_json,
     coverage_to_json,
+    dump,
     dumps,
     frame_from_json,
     frame_to_json,
@@ -27,7 +29,8 @@ from stonework.formats import (
     space_from_json,
     space_to_json,
 )
-from stonework.coverage import named_coverage
+from stonework.corpus import all_grothendieck_topologies, posets_upto, random_coverage
+from stonework.coverage import GrothendieckTopology, ideal_frame, named_coverage
 from stonework.errors import InvalidStructure, ParseError
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
 from stonework.spectra import alexandrov_space
@@ -86,15 +89,14 @@ class TestRoundTrips:
 
     def test_frame(self):
         fr = lower_sets(preorder_from_pairs(2, []))
-        fr2 = frame_from_json(frame_to_json(fr))
+        fr2 = frame_from_json(json.loads(dumps(frame_to_json(fr))))
         assert fr2.meet == fr.meet and fr2.join == fr.join
 
     @pytest.mark.parametrize("fault", [-1, 7, "x", 1.0, "ragged"])
     def test_frame_with_bad_tables_refused(self, fault):
-        obj = frame_to_json(lower_sets(preorder_from_pairs(2, [])))
-        # frame_to_json hands out the frame's own tables; plant the fault
-        # in copies
-        obj["meet"], obj["join"] = ([list(r) for r in obj[k]] for k in ("meet", "join"))
+        # frame_to_json writes its tables a row at a time; plant the fault
+        # in the text it writes, read back
+        obj = json.loads(dumps(frame_to_json(lower_sets(preorder_from_pairs(2, [])))))
         if fault == "ragged":
             obj["join"][3].pop()
         else:
@@ -365,6 +367,22 @@ class TestNoSaturationWhereOnlyFramesAreRead:
         assert json.loads(out) == {"error": "GuardExceeded",
                                    "message": "saturation would need 17 elements, over the guard of 16"}
 
+    def test_gd_refused_by_saturation_before_any_frame(self, capsys, chain17_file, tmp_path):
+        # past both guards the site law's saturation guard refuses first,
+        # before the lower sets are listed: the 17-chain under --guard 4,
+        # and the 32-element Boolean lattice, whose 7,581 lower sets pass
+        # the default frame guard
+        b5 = tmp_path / "b5.json"
+        b5.write_text(json.dumps({"elements": [str(i) for i in range(32)],
+                                  "leq": [[i, i | 1 << b] for i in range(32) for b in range(5)
+                                          if not i >> b & 1]}))
+        for argv, n in ((["--guard", "4", "check", "--input", chain17_file], 17),
+                        (["check", "--input", str(b5)], 32)):
+            code, out = run(capsys, *argv, "--invariant", "gd")
+            assert code == 1
+            assert json.loads(out) == {"error": "GuardExceeded",
+                                       "message": f"saturation would need {n} elements, over the guard of 16"}
+
     def test_space_on_covers_file_of_chain18(self, capsys, tmp_path):
         # {c4} covers c5 and {c9} covers c10, so D is the other 16 elements
         f = tmp_path / "site.json"
@@ -590,7 +608,7 @@ def _count_calls(monkeypatch, fn):
 
 def test_one_emit_per_command_and_one_frame_per_ideal_frame(capsys, monkeypatch, boolean4_file,
                                                             chain17_file):
-    emits = _count_calls(monkeypatch, formats.dumps)
+    emits = _count_calls(monkeypatch, formats.dump)
     frames = _count_calls(monkeypatch, order.frame_of_down_sets)
     # (argv, frame_of_down_sets calls, or None where not pinned)
     commands = [(["ideal-frame", boolean4_file, "--coverage", "coherent"], 1),
@@ -667,13 +685,55 @@ _VALUE = st.recursive(
 @example([[7, 0]])
 @example([[[0, 1]], [[2]]])
 def test_dumps_is_json_dumps_byte_for_byte(value):
-    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert dumps(value) == want
+    pieces = []
+    dump(value, pieces.append)
+    assert "".join(pieces) == want
+
+
+def _plain_frame(fr):
+    """frame_to_json(fr) as plain lists, the tables read off the order
+    (`_tables_from_order`) and not off the frame's masks or tables."""
+    meet, join = fr._tables_from_order()
+    return {"elements": [fr.label(i) for i in range(fr.n)],
+            "leq": [[i, j] for i in range(fr.n) for j in range(fr.n) if i != j and fr.leq(i, j)],
+            "bot": fr.bot, "top": fr.top, "meet": meet, "join": join}
+
+
+def _assert_frame_text(fr):
+    assert dumps(frame_to_json(fr)) == json.dumps(_plain_frame(fr), sort_keys=True, indent=2) + "\n"
 
 
 def test_dumps_on_frame_tables():
     # the 7-antichain's frame has 128 elements, past the 64 up to which
-    # frame_of_down_sets checks its tables
+    # frame_of_down_sets makes and checks its tables
     for p in (preorder_from_pairs(6, []), preorder_from_pairs(5, [(0, 1), (1, 2), (0, 3)]),
               preorder_from_pairs(7, [])):
-        obj = {"frame": frame_to_json(lower_sets(p)), "ring": ring_to_json(ring_zmod(12))}
-        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        fr = lower_sets(p)
+        obj = {"frame": frame_to_json(fr), "ring": ring_to_json(ring_zmod(12))}
+        plain = {"frame": _plain_frame(fr), "ring": ring_to_json(ring_zmod(12))}
+        assert dumps(obj) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    # a one-element frame has no order pairs; its frame read from JSON
+    # holds its tables
+    _assert_frame_text(lower_sets(preorder_from_pairs(0, [])))
+    _assert_frame_text(frame_from_json(json.loads(dumps(frame_to_json(fr)))))
+
+
+def test_frame_text_of_every_ideal_frame():
+    # the J-ideal frames of every topology on the posets with at most 5
+    # elements, and of seeded raw coverages on sparse preorders of 7 to 10
+    # elements, some past 64 ideals, where the frame's tables are never made
+    for p in posets_upto(5):
+        for sieves in all_grothendieck_topologies(p):
+            _assert_frame_text(ideal_frame(GrothendieckTopology(p, sieves, _checked=True)))
+    sizes = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(7, 10)
+        p = preorder_from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))])
+        fr = ideal_frame(random_coverage(p, rng))
+        sizes.append(fr.n)
+        _assert_frame_text(fr)
+        assert fr.n <= 64 or "meet" not in vars(fr) and "join" not in vars(fr)
+    assert max(sizes) > 64

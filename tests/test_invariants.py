@@ -24,6 +24,8 @@ from stonework.invariants import (
 )
 from stonework.order import as_poset, lower_sets, preorder_from_pairs
 
+from oracles import scan_collection_cover, scan_complemented_complete, scan_dense_finite_subcover
+
 
 def boolean4_frame():
     return lower_sets(preorder_from_pairs(2, []))
@@ -72,6 +74,12 @@ class TestAlmostDiscrete:
         for d in distributive_lattices_upto(6):
             almost_discrete_conditions(d)  # raises if the five disagree
 
+    def test_theorems_match_the_collection_scans(self):
+        for d in distributive_lattices_upto(7):
+            conds = almost_discrete_conditions(d)
+            assert conds["dense_finite_subcover"] == scan_dense_finite_subcover(d)
+            assert conds["complemented_complete"] == scan_complemented_complete(d)
+
 
 class TestExtremallyDisconnected:
     def test_boolean_algebras_true(self):
@@ -92,6 +100,14 @@ class TestExtremallyDisconnected:
     def test_agreement_on_corpus(self):
         for d in distributive_lattices_upto(6):
             extremally_disconnected_conditions(d)
+
+    def test_theorem_matches_the_collection_scan(self):
+        values = set()
+        for d in distributive_lattices_upto(7):
+            value = extremally_disconnected_conditions(d)["collection_cover"]
+            assert value == scan_collection_cover(d)
+            values.add(value)
+        assert values == {True, False}
 
 
 class TestMSLatDeMorgan:

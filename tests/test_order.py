@@ -7,7 +7,14 @@ from operator import or_
 import pytest
 
 from stonework.bits import bits, mask_of, popcount
-from stonework.corpus import all_posets, all_preorders, distributive_lattices_upto, posets_upto
+from stonework.corpus import (
+    all_posets,
+    all_preorders,
+    distributive_lattices_upto,
+    posets_upto,
+    random_coverage,
+)
+from stonework.coverage import ideal_frame, j_closure
 from stonework.errors import GuardExceeded, InvalidStructure
 from stonework.order import (
     FiniteFrame,
@@ -16,6 +23,7 @@ from stonework.order import (
     Preorder,
     as_poset,
     closed_family,
+    frame_hom_failure,
     frame_of_down_sets,
     identity_map,
     inclusion_order,
@@ -114,6 +122,26 @@ class TestTableBuildersAgainstOracles:
                 assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join))
                 assert fr.poset.up == tuple(pairwise_inclusion_up(fr.element_masks))
                 fr._check()
+
+    def test_mask_tables_match_the_order_past_64(self):
+        # past 64 elements a frame of sets makes its tables on first read,
+        # from the masks: by intersection, by the union of D-parts, or by
+        # a closure of the union
+        frames = [lower_sets(preorder_from_pairs(7, [])), upper_sets(preorder_from_pairs(7, [(0, 1)]))]
+        for seed in range(20):
+            rng = random.Random(seed)
+            p = preorder_from_pairs(9, [(rng.randrange(9), rng.randrange(9)) for _ in range(2)])
+            J = random_coverage(p, rng)
+            fr = ideal_frame(J)
+            if fr.n > 64:
+                frames.append(fr)
+                close = lambda m, J=J: j_closure(J, m)
+                frames.append(frame_of_down_sets(fr.element_masks, p, join_closure=close))
+        assert len(frames) > 6
+        for fr in frames:
+            assert fr.n > 64 and "meet" not in vars(fr) and "join" not in vars(fr)
+            meet, join = fr._tables_from_order()
+            assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join))
 
     def test_unclosed_families_are_refused(self):
         with pytest.raises(InvalidStructure, match="closed under intersection"):
@@ -425,6 +453,29 @@ class TestIsoSearch:
         for a in ps:
             for b in ps:
                 assert iso_search(a, b) == least_iso(a, b), (a, b)
+
+    def test_witnesses_on_lattices_are_lattice_isos(self):
+        # iso_search checks no lattice law after its search: an order
+        # isomorphism between lattices is a lattice isomorphism, so each
+        # witness passes the hom check, here against a shuffled copy of
+        # every lattice with at most 6 elements, distributive or not
+        rng = random.Random(6)
+        lattices = 0
+        for p in posets_upto(6):
+            try:
+                a = FiniteFrame(as_poset(p), _checked=True)
+            except InvalidStructure:
+                continue
+            perm = rng.sample(range(p.n), p.n)
+            up = [0] * p.n
+            for i in range(p.n):
+                up[perm[i]] = mask_of(perm[j] for j in bits(p.up[i]))
+            b = FiniteFrame(Poset(p.n, up), _checked=True)
+            for x, y in ((a, a), (a, b), (b, a)):
+                wit = iso_search(x, y)
+                assert wit is not None and frame_hom_failure(x, y, wit) is None, p
+            lattices += 1
+        assert lattices == 25  # 1, 1, 1, 2, 5 and 15 lattices of 1 to 6 elements
 
     def test_no_recursion_limit(self):
         # one search step per element, past the interpreter's default

@@ -11,6 +11,7 @@ import pytest
 from stonework.bits import bits, mask_of
 from stonework.coverage import j_closure, saturate
 from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
+from stonework.order import frame_hom_failure, iso_search
 from stonework.presentations import Presentation, relation_models
 from stonework.spectra import j_prime_filters
 from stonework import zariski
@@ -508,6 +509,15 @@ class TestOpIdeals:
             # the proper ideals of Z/n are the (d) for the divisors d > 1 of n
             divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
             assert op_ideal_space(ring_zmod(n))[0].n == divisors - 1, n
+
+    def test_iso_witness_is_a_lattice_iso(self):
+        # op_ideal_lattice checks only that the two orders are isomorphic;
+        # each witness also preserves the bounds, meets and joins
+        for n in range(1, 61):
+            lat, space = op_ideal_lattice(ring_zmod(n))
+            opens = space.opens_frame()
+            wit = iso_search(lat.frame, opens)
+            assert wit is not None and frame_hom_failure(lat.frame, opens, wit) is None, n
 
 
 def test_ring_ideal_wrapper():
