@@ -1,13 +1,15 @@
 """The stonework command line tool.
 
 Batch analysis only; JSON on stdout by default, DOT behind --dot.  Exit
-codes: 0 success, 1 domain error with a structured message, 2 usage.
+codes: 0 success (also when the reader of stdout stops early), 1 domain
+or output error with a structured message, 2 usage.
 Guards in effect are reported in every output header.
 """
 
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -449,7 +451,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     config.set_frame_guard_override(args.guard)
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if sys.stdout is sys.__stdout__:
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except StoneworkError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
@@ -458,6 +463,14 @@ def main(argv=None):
         return 1
     except json.JSONDecodeError as exc:
         _emit({"error": "ParseError", "message": f"{exc.msg} (line {exc.lineno}, col {exc.colno})"})
+        return 1
+    except OSError as exc:
+        # stdout failed; the flush at exit then writes to the null device.
+        # A reader that stopped reading (a broken pipe) is no error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        dump({"error": "OutputError", "message": str(exc)}, sys.stderr.write)
         return 1
 
 

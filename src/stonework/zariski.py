@@ -14,12 +14,11 @@ it in its own ZariskiSite, `ring.site`.
 
 from functools import cached_property
 from itertools import chain
-from operator import and_, or_
+from operator import add, and_, or_
 
-from .bits import bits, mask_of, popcount, submasks, transpose
+from .bits import bits, mask_of, popcount, transpose
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
-from .coverage import Coverage
 from .order import Poset, closed_family, frame_of_down_sets, iso_search, set_label
 from .presentations import JOIN, MEET, ONE, ZERO, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
@@ -143,59 +142,6 @@ def ring_product(x, y):
     labels = [f"({x.label(a)},{y.label(b)})" for a in range(x.n) for b in range(y.n)]
     return FiniteCommRing(n, add, mul, pack(x.zero, y.zero), pack(x.one, y.one),
                           labels=labels, _checked=True)
-
-
-def ring_iso_search(x, y):
-    """A ring isomorphism as an assignment, or None; brute force with
-    pruning, for small test rings only."""
-    if x.n != y.n:
-        return None
-    assign = [-1] * x.n
-    used = [False] * y.n
-    assign[x.zero] = y.zero
-    used[y.zero] = True
-    if x.one != x.zero:
-        if y.one == y.zero:
-            return None
-        assign[x.one] = y.one
-        used[y.one] = True
-    order = [a for a in range(x.n) if assign[a] < 0]
-
-    def consistent(a):
-        for b in range(x.n):
-            if assign[b] < 0:
-                continue
-            s, m = x.add[a][b], x.mul[a][b]
-            if assign[s] >= 0 and assign[x.add[a][b]] != y.add[assign[a]][assign[b]]:
-                return False
-            if assign[m] >= 0 and assign[x.mul[a][b]] != y.mul[assign[a]][assign[b]]:
-                return False
-        return True
-
-    def rec(k):
-        if k == len(order):
-            for a in range(x.n):
-                for b in range(x.n):
-                    if assign[x.add[a][b]] != y.add[assign[a]][assign[b]]:
-                        return False
-                    if assign[x.mul[a][b]] != y.mul[assign[a]][assign[b]]:
-                        return False
-            return True
-        a = order[k]
-        for v in range(y.n):
-            if used[v]:
-                continue
-            assign[a] = v
-            used[v] = True
-            if consistent(a) and rec(k + 1):
-                return True
-            assign[a] = -1
-            used[v] = False
-        return False
-
-    if rec(0):
-        return tuple(assign)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -400,36 +346,6 @@ def s_monoid(ring):
 # the coverage and its arithmetic description
 
 
-def _semigroup_sums(ring, elems):
-    """All sums of one or more elements drawn (with repetition) from a set."""
-    return closed_family(elems, elems, lambda s, y: ring.add[s][y])
-
-
-def zariski_coverage(ring, guard=None):
-    """The coverage on S(A): the empty family covers the class of 0, and
-    a finite family of classes below x covers x when representatives sum
-    into x's class.  Materialised only for small S(A)."""
-    s = ring.site.s
-    bound = guard if guard is not None else config.SATURATION_GUARD
-    if s.n > bound:
-        raise GuardExceeded("zariski coverage table", s.n, bound)
-    po = s.poset
-    covers = [set() for _ in range(s.n)]
-    covers[s.pi[ring.zero]].add(0)
-    for x in range(s.n):
-        xclass = s.classes[x]
-        below = [a for a in range(ring.n) if po.leq(s.pi[a], x)]
-        for t in submasks(po.dn[x]):
-            if t == 0:
-                continue
-            y = [a for a in below if (t >> s.pi[a]) & 1]
-            if not y:
-                continue
-            if _semigroup_sums(ring, y) & set(bits(xclass)):
-                covers[x].add(t)
-    return Coverage(po, [frozenset(c) for c in covers])
-
-
 def _powers_till_cycle(ring, a):
     seen = set()
     out = []
@@ -479,12 +395,67 @@ def zariski_ideal_frame(ring, guard=None):
 
 
 def zariski_presentation(ring):
-    """Generators D(a) with the four defining relation schemas."""
-    return _DPresentation(ring, "=")
+    """L(A) presented on the classes of S(A): a generator D(x) per class
+    x, with D([1]) = 1, D([0]) = 0, D(x * y) = D(x) & D(y) for classes
+    x <= y, and D(z) <= D(x) | D(y) for each triple (x, y, z) of classes
+    x <= y with x, y, z = pi a, pi b, pi(a + b) for some a, b.
+
+    It presents the lattice presented by a generator D(a) per element
+    under D(1) = 1, D(0) = 0, D(ab) = D(a) & D(b) and D(a + b) <= D(a) |
+    D(b), with D(a) sent to D(pi a).  There D(ac) = D(a) & D(c) <= D(a),
+    so a | b^k gives D(b) = D(b^k) <= D(a), where D(b^2) = D(b) & D(b) =
+    D(b) gives D(b) = D(b^k) by induction.  If pi a = pi b, the one
+    idempotent e of the class is a power of a and of b, so a | e and
+    b | e: the element relations derive D(a) = D(b), and collapsing each
+    class to one generator is a Tietze move.  pi is a monoid
+    homomorphism, so it carries each element relation onto a class
+    relation, and each class relation is the image of one.
+    """
+    return _ClassPresentation(ring.site.s)
+
+
+class _ClassPresentation:
+    """zariski_presentation's relations, made bucket by bucket as in
+    _DPresentation.  The sum triples are found in one pass over the
+    addition table, class x by class x, each held as one int
+    x k^2 + y k + z in the list of its highest class, max(y, z)."""
+
+    def __init__(self, s):
+        k, pi = s.n, s.pi
+        self.generators = tuple(f"d{x}" for x in range(k))
+        self.logic = "coherent"
+        self.s = s
+        yk, self.tops = [y * k for y in pi], [[] for _ in range(k)]
+        for x, members in enumerate(s.classes):
+            sums = set()
+            for a in bits(members):
+                sums.update(map(add, yk, map(pi.__getitem__, s.ring.add[a])))
+            for c in sums:
+                if c >= x * k:
+                    self.tops[max(divmod(c, k))].append(x * k * k + c)
+        self.relations = _Relations(2 + k * (k + 1) // 2 + sum(map(len, self.tops)), self.buckets)
+
+    def buckets(self):
+        s = self.s
+        k, ring = s.n, s.ring
+        d = [(x,) for x in range(k)]
+        later = [[] for _ in range(k)]
+        later[s.pi[ring.one]].append(("=", d[s.pi[ring.one]], (ONE,)))
+        later[s.pi[ring.zero]].append(("=", d[s.pi[ring.zero]], (ZERO,)))
+        yield []
+        for t in range(k):
+            now, later[t] = later[t], None
+            for x, m in enumerate(s.mul[t][:t + 1]):
+                (now if m <= t else later[m]).append(("=", d[m], (x, t, MEET)))
+            for c in self.tops[t]:
+                x, c = divmod(c, k * k)
+                y, z = divmod(c, k)
+                now.append(("<=", d[z], (x, y, JOIN)))
+            yield now
 
 
 class _DPresentation:
-    """Generators D(a) with D(1) = 1, D(0) = 0, D(ab) `mul_op` D(a) & D(b)
+    """Generators D(a) with D(1) = 1, D(0) = 0, D(ab) <= D(a) & D(b)
     and D(a+b) <= D(a) | D(b) for a <= b; the term D(c) is one shared
     code (c,).
 
@@ -495,10 +466,10 @@ class _DPresentation:
     them and, iterated, yields them all.
     """
 
-    def __init__(self, ring, mul_op):
+    def __init__(self, ring):
         self.generators = tuple(f"d{a}" for a in range(ring.n))
         self.logic = "coherent"
-        self.ring, self.mul_op = ring, mul_op
+        self.ring = ring
         self.relations = _Relations(ring.n * (ring.n + 1) + 2, self.buckets)
 
     def buckets(self):
@@ -507,7 +478,7 @@ class _DPresentation:
         a + b: b's bucket takes it when c <= b, and otherwise it waits in
         `later[c]` for c's bucket, so only the relations with
         a <= b' < b < c are held at b."""
-        ring, op = self.ring, self.mul_op
+        ring = self.ring
         d = [(c,) for c in range(ring.n)]
         later = [[] for _ in range(ring.n)]
         later[ring.one].append(("=", d[ring.one], (ONE,)))
@@ -518,7 +489,7 @@ class _DPresentation:
             mul_b, add_b = ring.mul[b], ring.add[b]
             for a in range(b + 1):
                 c = mul_b[a]
-                (now if c <= b else later[c]).append((op, d[c], (a, b, MEET)))
+                (now if c <= b else later[c]).append(("<=", d[c], (a, b, MEET)))
                 c = add_b[a]
                 (now if c <= b else later[c]).append(("<=", d[c], (a, b, JOIN)))
             yield now
@@ -540,16 +511,25 @@ class _Relations:
 def zariski_lattice(ring, guard=None):
     """The lattice L(A), built two independent ways and cross-checked.
 
-    (1) as the distributive lattice presented by the D(a) relations
-        (congruence closure when the ring is tiny, else the semantic
-        model engine), and
+    (1) as the distributive lattice presented by the D relations on
+        the classes of S(A) (congruence closure when the ring is tiny,
+        else the semantic model engine), and
     (2) as the frame of C-ideals on S(A), which at finite scale is its
         own lattice of compact elements.
 
-    Returns (frame, D) where D maps ring elements to frame elements of
-    construction (2); a mismatch between the two aborts.
+    Both read S(A), so its classes are first checked against the prime
+    ideals, found from the ring's ideals alone: a and b share a class iff
+    they lie in the same primes.  If a^k = bc, then pi a = pi a^k =
+    pi b pi c <= pi b in the semilattice, and the idempotent of a class
+    is a power of each member; so a and b share a class iff each divides
+    a power of the other, that is iff their radicals agree.  Returns
+    (frame, D) where D maps ring elements to frame elements of
+    construction (2); a mismatch aborts.
     """
     site = ring.site
+    s, mem = site.s, transpose(site.primes, ring.n)
+    if len(set(mem)) != s.n or len(set(zip(s.pi, mem))) != s.n:
+        raise CheckFailed("the classes of S(A) are not the elements in the same prime ideals")
     fr = site.frame(guard)
     pres = zariski_presentation(ring)
     if ring.n <= config.FREE_DLAT_GUARD:
@@ -558,7 +538,6 @@ def zariski_lattice(ring, guard=None):
         lat = present_semantic(pres)
     if iso_search(lat.frame, fr) is None:
         raise CheckFailed("presented Zariski lattice differs from the ideal-frame construction")
-    s = site.s
     D = [fr.index[site.closure(s.poset.dn[s.pi[a]])] for a in range(ring.n)]
     return fr, D
 
@@ -711,7 +690,7 @@ def radical_membership(ring, a, bs):
 
 def op_ideal_presentation(ring):
     """The coherent theory of op-ideals: D(ab) <= D(a) & D(b) etc."""
-    return _DPresentation(ring, "<=")
+    return _DPresentation(ring)
 
 
 def op_ideal_space(ring):

@@ -9,8 +9,13 @@ directedly irreducible elements, the congruence of S(A) as a
 transitive closure and as a fixpoint of union-find rounds, the
 congruence of a presented distributive lattice as a fixpoint of
 union-find rounds, prime ideals by the product scan, and the ring laws
-by the loop over all triples.  They are exponential, or of higher
-degree than the fast paths, and only meant for small carriers.  The
+by the loop over all triples.  The Zariski lattice keeps its
+presentation on the ring's elements, one generator D(a) per element,
+against the library's on the classes of S(A); the Zariski coverage is
+kept as sieve tables, each covering family tested by the sums of its
+members, and ring isomorphisms as a search over assignments.  They are
+exponential, or of higher degree than the fast paths, and only meant
+for small carriers.  The
 rest are the direct forms of the table builders: bits by shifting,
 relations pair by pair, frame tables cell by cell, the cubic check that
 tables make a distributive lattice, and the subterminal space from the
@@ -37,11 +42,12 @@ from stonework.coverage import (
     topology_failure,
 )
 from stonework.duality import supercompact_elements
-from stonework.errors import CheckFailed, InvalidStructure
-from stonework.order import lower_sets, set_label
-from stonework.presentations import JOIN, MEET, ONE, ZERO, is_filtering
+from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
+from stonework.order import closed_family, lower_sets, set_label
+from stonework.presentations import JOIN, MEET, ONE, ZERO, Presentation, is_filtering
 from stonework.spectra import TopSpace, j_prime_filters, space_from_subbasis
 from stonework.zariski import all_ideals
+from stonework import config
 
 
 def brute_down_sets(p, within=None):
@@ -896,3 +902,102 @@ def scan_collection_cover(d):
             c3 = False
             break
     return c3
+
+
+# rings: isomorphisms by search, the Zariski lattice on the ring's
+# elements, and the Zariski coverage as tables
+
+
+def ring_iso_search(x, y):
+    """A ring isomorphism as an assignment, or None; brute force with
+    pruning, for small test rings only."""
+    if x.n != y.n:
+        return None
+    assign = [-1] * x.n
+    used = [False] * y.n
+    assign[x.zero] = y.zero
+    used[y.zero] = True
+    if x.one != x.zero:
+        if y.one == y.zero:
+            return None
+        assign[x.one] = y.one
+        used[y.one] = True
+    order = [a for a in range(x.n) if assign[a] < 0]
+
+    def consistent(a):
+        for b in range(x.n):
+            if assign[b] < 0:
+                continue
+            s, m = x.add[a][b], x.mul[a][b]
+            if assign[s] >= 0 and assign[x.add[a][b]] != y.add[assign[a]][assign[b]]:
+                return False
+            if assign[m] >= 0 and assign[x.mul[a][b]] != y.mul[assign[a]][assign[b]]:
+                return False
+        return True
+
+    def rec(k):
+        if k == len(order):
+            for a in range(x.n):
+                for b in range(x.n):
+                    if assign[x.add[a][b]] != y.add[assign[a]][assign[b]]:
+                        return False
+                    if assign[x.mul[a][b]] != y.mul[assign[a]][assign[b]]:
+                        return False
+            return True
+        a = order[k]
+        for v in range(y.n):
+            if used[v]:
+                continue
+            assign[a] = v
+            used[v] = True
+            if consistent(a) and rec(k + 1):
+                return True
+            assign[a] = -1
+            used[v] = False
+        return False
+
+    if rec(0):
+        return tuple(assign)
+    return None
+
+
+def element_presentation(ring):
+    """L(A) presented by a generator D(a) per element: D(1) = 1,
+    D(0) = 0 and, for each pair a <= b, D(ab) = D(a) & D(b) and
+    D(a + b) <= D(a) | D(b); the n(n + 1) + 2 relations held."""
+    rels = [("=", (ring.one,), (ONE,)), ("=", (ring.zero,), (ZERO,))]
+    for b in range(ring.n):
+        for a in range(b + 1):
+            rels.append(("=", (ring.mul[a][b],), (a, b, MEET)))
+            rels.append(("<=", (ring.add[a][b],), (a, b, JOIN)))
+    return Presentation([f"d{a}" for a in range(ring.n)], rels, "coherent")
+
+
+def _semigroup_sums(ring, elems):
+    """All sums of one or more elements drawn (with repetition) from a set."""
+    return closed_family(elems, elems, lambda s, y: ring.add[s][y])
+
+
+def zariski_coverage(ring, guard=None):
+    """The coverage on S(A): the empty family covers the class of 0, and
+    a finite family of classes below x covers x when representatives sum
+    into x's class.  Materialised only for small S(A)."""
+    s = ring.site.s
+    bound = guard if guard is not None else config.SATURATION_GUARD
+    if s.n > bound:
+        raise GuardExceeded("zariski coverage table", s.n, bound)
+    po = s.poset
+    covers = [set() for _ in range(s.n)]
+    covers[s.pi[ring.zero]].add(0)
+    for x in range(s.n):
+        xclass = s.classes[x]
+        below = [a for a in range(ring.n) if po.leq(s.pi[a], x)]
+        for t in submasks(po.dn[x]):
+            if t == 0:
+                continue
+            y = [a for a in below if (t >> s.pi[a]) & 1]
+            if not y:
+                continue
+            if _semigroup_sums(ring, y) & set(bits(xclass)):
+                covers[x].add(t)
+    return Coverage(po, [frozenset(c) for c in covers])

@@ -72,9 +72,10 @@ from stonework.zariski import (
     ring_zmod,
     s_monoid,
     spectra_homeomorphism,
-    zariski_coverage,
     zariski_lattice,
 )
+
+from oracles import zariski_coverage
 
 
 def report(num, text):

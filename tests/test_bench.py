@@ -14,7 +14,7 @@ import pytest
 
 from stonework import cli
 from stonework.presentations import relation_models
-from stonework.zariski import ring_zmod, zariski_presentation
+from stonework.zariski import op_ideal_presentation, ring_zmod, zariski_presentation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,13 +37,14 @@ def _bench_module(name):
 
 def test_tracer_counts_the_streamed_relations():
     # the tracer reads len(args[0].relations) of a relation_models call;
-    # the D(a) presentation counts its relations without holding them
+    # the D presentations count their relations without holding them
     tracer = _bench_module("tracer")
     for n in (1, 6, 30):
-        pres = zariski_presentation(ring_zmod(n))
-        models = relation_models(pres)
-        assert tracer._relation_counts((pres,), models) == {
-            "relations": n * (n + 1) + 2, "models": len(models)}
+        ring = ring_zmod(n)
+        for pres, count in ((op_ideal_presentation(ring), n * (n + 1) + 2),
+                            (zariski_presentation(ring), sum(map(len, zariski_presentation(ring).buckets())))):
+            models = relation_models(pres)
+            assert tracer._relation_counts((pres,), models) == {"relations": count, "models": len(models)}
 
 
 @pytest.mark.parametrize("workload, count",

@@ -737,3 +737,51 @@ def test_frame_text_of_every_ideal_frame():
         _assert_frame_text(fr)
         assert fr.n <= 64 or "meet" not in vars(fr) and "join" not in vars(fr)
     assert max(sizes) > 64
+
+
+def _cli_process(tmp_path, argv, stdout, unbuffered):
+    """The CLI as `python -m stonework.cli`, its stdout as given and its
+    stderr piped, with Python's stdout buffer on or off."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "stonework.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+
+
+def _antichain10(tmp_path):
+    f = tmp_path / "antichain10.json"
+    f.write_text(json.dumps({"elements": [f"a{i}" for i in range(10)], "leq": []}))
+    return ["ideal-frame", str(f)]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["zariski", "ideal-frame"])
+def test_reader_that_stops_early_is_no_error(tmp_path, command, unbuffered):
+    # like `stonework ... | head -c 10`: exit 0 and nothing on stderr.
+    # zariski writes into a pipe whose reader is already gone; the
+    # 10-antichain's 34 MB frame overruns a pipe whose reader took 10 bytes
+    argv = ["zariski", "--ring", "zmod:60"] if command == "zariski" else _antichain10(tmp_path)
+    read, write = os.pipe()
+    if command == "zariski":
+        os.close(read)
+    proc = _cli_process(tmp_path, argv, write, unbuffered)
+    os.close(write)
+    if command == "ideal-frame":
+        with os.fdopen(read, "rb") as pipe:
+            assert pipe.read(10) == b'{\n  "guard'
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_stdout_is_an_output_error(tmp_path, unbuffered):
+    # stdout can no longer carry the JSON, so stderr does, with exit 1
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(tmp_path, ["zariski", "--ring", "zmod:60"], full, unbuffered)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert json.loads(err) == {"error": "OutputError", "message": "[Errno 28] No space left on device"}

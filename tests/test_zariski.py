@@ -12,7 +12,7 @@ from stonework.bits import bits, mask_of
 from stonework.coverage import j_closure, saturate
 from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
 from stonework.order import frame_hom_failure, iso_search
-from stonework.presentations import Presentation, relation_models
+from stonework.presentations import Presentation, present_semantic, relation_models
 from stonework.spectra import j_prime_filters
 from stonework import zariski
 from stonework.zariski import (
@@ -27,14 +27,12 @@ from stonework.zariski import (
     prime_ideals,
     proper_ideals,
     radical_membership,
-    ring_iso_search,
     ring_product,
     ring_zmod,
     s_monoid,
     spec_space,
     spectra_homeomorphism,
     zariski_closure,
-    zariski_coverage,
     zariski_ideal_frame,
     zariski_lattice,
     zariski_point_space,
@@ -47,8 +45,11 @@ from oracles import (
     brute_ring_laws,
     brute_s_congruence,
     cell_frame_tables,
+    element_presentation,
     eval_code,
     fixpoint_s_congruence,
+    ring_iso_search,
+    zariski_coverage,
 )
 
 
@@ -375,31 +376,82 @@ class TestLattice:
 
     def test_d_presentation_models_match_brute_force(self):
         # every relation has the shapes _passing reads without the evaluator
-        for n in range(1, 9):
-            pres = zariski_presentation(ring_zmod(n))
+        for n in range(1, 11):
+            ring = ring_zmod(n)
+            presentations = [zariski_presentation(ring)]
+            if n <= 8:
+                presentations.append(element_presentation(ring))
+            for pres in presentations:
+                k = len(pres.generators)
 
-            def holds(rel, m):
-                v1, v2 = eval_code(rel[1], m), eval_code(rel[2], m)
-                return v1 <= v2 if rel[0] == "<=" else v1 == v2
+                def holds(rel, m):
+                    v1, v2 = eval_code(rel[1], m), eval_code(rel[2], m)
+                    return v1 <= v2 if rel[0] == "<=" else v1 == v2
 
-            want = [m for m in range(1 << n) if all(holds(rel, m) for rel in pres.relations)]
-            assert relation_models(pres) == want, n
+                want = [m for m in range(1 << k) if all(holds(rel, m) for rel in pres.relations)]
+                assert relation_models(pres) == want, (n, k)
 
     def test_streamed_buckets_match_the_held_presentation(self):
-        # the D(a) presentations make their relations bucket by bucket;
+        # the D presentations make their relations bucket by bucket;
         # held by the checking constructor, the same relations fall into
         # the same buckets, and the model search finds the same models
         rings = ([ring_zmod(n) for n in range(1, 61)] + list(prime_field_products(36))
                  + non_reduced_products())
         for ring in rings:
-            for pres in (zariski_presentation(ring), op_ideal_presentation(ring)):
+            s = ring.site.s
+            triples = {(min(s.pi[a], s.pi[b]), max(s.pi[a], s.pi[b]), s.pi[ring.add[a][b]])
+                       for a in range(ring.n) for b in range(ring.n)}
+            for pres, count in ((zariski_presentation(ring), s.n * (s.n + 1) // 2 + len(triples) + 2),
+                                (op_ideal_presentation(ring), ring.n * (ring.n + 1) + 2)):
                 held = Presentation(pres.generators, pres.relations, "coherent")
-                assert len(pres.relations) == len(held.relations) == ring.n * (ring.n + 1) + 2
+                assert len(pres.relations) == len(held.relations) == count
                 streamed = list(pres.buckets())
-                assert len(streamed) == len(held._by_top) == ring.n + 1
+                assert len(streamed) == len(held._by_top) == len(pres.generators) + 1
                 for bucket, want in zip(streamed, held._by_top):
                     assert Counter(bucket) == Counter(want), ring.n
                 assert relation_models(pres) == relation_models(held), ring.n
+
+    def test_class_presentation_presents_the_element_lattice(self):
+        # the models of the element presentation are the class models
+        # read through pi, so a bit permutation of the models carries the
+        # class lattice onto the element lattice, with D(pi a) sent to D(a)
+        for ring in oracle_rings():
+            pi = ring.site.s.pi
+            lifted = [mask_of(a for a, x in enumerate(pi) if m >> x & 1)
+                      for m in relation_models(zariski_presentation(ring))]
+            held = element_presentation(ring)
+            models = relation_models(held)
+            assert sorted(lifted) == models, ring.n
+            moved = [models.index(m) for m in lifted]
+
+            def move(mask):
+                return mask_of(moved[j] for j in bits(mask))
+
+            classes = present_semantic(zariski_presentation(ring))
+            elements = present_semantic(held)
+            image = [elements.frame.index[move(m)] for m in classes.frame.element_masks]
+            assert sorted(image) == list(range(elements.frame.n)), ring.n
+            assert [image[classes.gen_elements[x]] for x in pi] == list(elements.gen_elements), ring.n
+
+    @pytest.mark.parametrize("n, a, e", [(6, 3, 4), (30, 2, 1)])
+    def test_a_merged_s_monoid_is_caught(self, monkeypatch, n, a, e):
+        # both routes read S(A): with the class of a merged into the class
+        # of the idempotent e, the check of the classes against the prime
+        # ideals fails, and so does the element oracle
+        real = zariski._powers_till_cycle
+        ring = ring_zmod(n)
+        s = ring.site.s
+        merged = s.classes[s.pi[a]] | s.classes[s.pi[e]]
+        monkeypatch.setattr(zariski, "_powers_till_cycle",
+                            lambda r, b: [e] + real(r, b) if (s.classes[s.pi[a]] >> b) & 1 else real(r, b))
+        ring = ring_zmod(n)
+        assert merged in ring.site.s.classes
+        with pytest.raises(CheckFailed, match="prime ideals"):
+            zariski_lattice(ring)
+        pi = ring.site.s.pi
+        lifted = {mask_of(b for b, x in enumerate(pi) if m >> x & 1)
+                  for m in relation_models(zariski_presentation(ring))}
+        assert lifted != set(relation_models(element_presentation(ring)))
 
     def test_frame_tables_match_cell_loop(self):
         for n in range(1, 41):
