@@ -35,15 +35,23 @@ def d_of(p, covers):
 
 
 class Site:
-    """A coverage or a topology, read as the topology J_D it generates.
+    """A coverage or a topology, read as the topology J_D it generates;
+    Site(base, dmask) is J_D itself.
 
     It keeps what it derives: D (`dmask`), the J-ideals, the J-prime
     filters and the extent of each ideal.  A cache never widens a guard:
     read under a bound below their count, the ideals are listed again,
-    and the listing refuses.
+    and the listing refuses, naming the listing `what`.
     """
 
     _ideals = _extents = _saturation = None
+    what = "ideal frame"
+
+    def __init__(self, base, dmask, what=what):
+        self.base, self.dmask, self.what = base, dmask, what
+
+    def key(self):
+        return (self.base.key(), self.dmask)
 
     def ideals(self, guard=None):
         """j_ideals(self, guard), listed once."""
@@ -238,7 +246,7 @@ def j_ideals(J, guard=None):
     listing stops under the frame-size guard.
     """
     p, dmask = J.base, J.dmask
-    downs = p.down_sets(dmask, bound=config.frame_guard(guard), what="ideal frame")
+    downs = p.down_sets(dmask, bound=config.frame_guard(guard), what=J.what)
     outside = [(c, p.dn[c] & dmask) for c in range(p.n) if not (dmask >> c) & 1]
     return sorted(m | mask_of(c for c, b in outside if b & ~m == 0) for m in downs)
 

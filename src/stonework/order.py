@@ -635,21 +635,7 @@ def is_flat(f):
 
 
 def _signature(p, i):
-    return (popcount(p.dn[i]), popcount(p.up[i]), _height(p, i))
-
-
-def _height(p, i):
-    h = 0
-    frontier = p.dn[i] & ~(1 << i)
-    seen = 1 << i
-    while frontier:
-        h += 1
-        nxt = 0
-        for j in bits(frontier):
-            nxt |= p.dn[j] & ~(1 << j)
-        seen |= frontier
-        frontier = nxt & ~seen
-    return h
+    return (popcount(p.dn[i]), popcount(p.up[i]))
 
 
 def iso_search(a, b):

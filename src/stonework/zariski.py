@@ -4,22 +4,22 @@ The multiplicative quotient S(A), the coverage on it, the Zariski
 lattice built two independent ways, prime spectra as spaces, and the
 radical-membership dictionary.
 
-The ideal machinery here avoids materialising sieves: the saturated
-covering of the Zariski coverage has an explicit arithmetic description
-(a power of the covered element is a linear combination of the family),
-which doubles as the independent oracle the generic saturation is
-compared against on small rings.  Each ring keeps what is derived from
-it in its own ZariskiSite, `ring.site`.
+No sieve is materialised: the saturated covering of the Zariski
+coverage has an arithmetic description (a power of the covered element
+is a linear combination of the family), and that test, made once per
+class, gives the D of the topology J_D on S(A).  Each ring keeps what is
+derived from it in its own ZariskiSite, `ring.site`.
 """
 
 from functools import cached_property
-from itertools import chain
-from operator import add, and_, or_
+from itertools import chain, compress
+from operator import add, and_, ne, or_
 
 from .bits import bits, mask_of, popcount, transpose
+from .coverage import Site, ideal_frame, j_closure
 from .errors import CheckFailed, GuardExceeded, InvalidStructure
 from . import config
-from .order import Poset, closed_family, frame_of_down_sets, iso_search, set_label
+from .order import Poset, closed_family, iso_search, set_label
 from .presentations import JOIN, MEET, ONE, ZERO, present_coherent, present_semantic
 from .spectra import TopSpace, space_from_subbasis
 
@@ -204,8 +204,10 @@ def ideal_generated(ring, gens):
 
 
 def all_ideals(ring):
-    """Every ideal, as masks ascending: sums of principal ideals."""
-    principals = {ideal_generated(ring, [a]) for a in range(ring.n)}
+    """Every ideal, as masks ascending: sums of principal ideals, the
+    principal ideal Ag being the set of the row of g in the product
+    table."""
+    principals = set(map(mask_of, ring.mul))
     ideals = closed_family(principals | {1 << ring.zero}, principals, or_,
                            close=lambda u: ideal_generated(ring, bits(u)))
     return sorted(ideals)
@@ -216,15 +218,24 @@ def proper_ideals(ring):
 
 
 def prime_ideals(ring):
-    """The prime ideals, ascending: the maximal proper ideals.
+    """The prime ideals, ascending: M_e = {a : ae nilpotent} for each
+    primitive idempotent e, one that is nonzero with ef in {0, e} for
+    every idempotent f.
 
-    A finite integral domain is a field: multiplication by x != 0 is
-    injective on a finite set, hence onto, so xy = 1 for some y.  So for
-    a prime P the quotient A/P is a field and P is maximal; a maximal
-    ideal is prime in any commutative ring.
+    A finite commutative ring is the product of the local rings eA over
+    its primitive idempotents e (Atiyah-Macdonald, Introduction to
+    Commutative Algebra, 8.7).  A prime of a product is the whole of
+    every factor but one and a prime of that one.  A finite integral
+    domain is a field (multiplication by x != 0 is injective, hence
+    onto), so each prime is maximal, and the one prime of the local ring
+    eA is its nilradical: the primes are the M_e.  Nilpotency is read off
+    the powers of each element, from the ring's tables alone.
     """
-    proper = proper_ideals(ring)
-    return [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
+    n, mul, zero = ring.n, ring.mul, ring.zero
+    nil = [zero in _powers_till_cycle(ring, a) for a in range(n)]
+    idem = [e for e in range(n) if mul[e][e] == e != zero]
+    return sorted(mask_of(compress(range(n), map(nil.__getitem__, mul[e])))
+                  for e in idem if {mul[e][f] for f in idem} <= {zero, e})
 
 
 def prime_filters_ring(ring):
@@ -293,13 +304,14 @@ class SMonoid:
 
     def __init__(self, ring):
         self.ring = ring
-        index, pi, powers = {}, [], []
+        index, pi, powers, reps = {}, [], [], []
         for a in range(ring.n):
             chain = _powers_till_cycle(ring, a)
             e = next(p for p in chain if ring.mul[p][p] == p)
             if e not in index:
                 index[e] = len(index)
                 powers.append(mask_of(chain))
+                reps.append(a)
             pi.append(index[e])
         self.pi = tuple(pi)
         self.rep_powers = tuple(powers)
@@ -309,22 +321,20 @@ class SMonoid:
             classes[i] |= 1 << a
         self.classes = tuple(classes)
         self._ideals = {}
-        self.mul = tuple(
-            tuple(self.pi[ring.mul[next(bits(self.classes[i]))][next(bits(self.classes[j]))]]
-                  for j in range(self.n))
-            for i in range(self.n)
-        )
+        get = self.pi.__getitem__
+        self.mul = tuple(tuple(map(get, map(ring.mul[r].__getitem__, reps))) for r in reps)
         for i in range(self.n):
             if self.mul[i][i] != i:
                 raise CheckFailed("quotient is not idempotent")
         # order: x <= y iff x*y == x; meets are products
         up = [mask_of(j for j in range(self.n) if self.mul[i][j] == i) for i in range(self.n)]
-        labels = ["[" + ring.label(next(bits(self.classes[i]))) + "]" for i in range(self.n)]
-        self.poset = Poset(self.n, up, labels=labels)
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.poset.glb((1 << i) | (1 << j)) != self.mul[i][j]:
-                    raise CheckFailed("product is not the meet")
+        self.poset = Poset(self.n, up, labels=["[" + ring.label(r) + "]" for r in reps])
+        # x * y is the meet iff the lower bounds of x and y are what lies
+        # below x * y
+        dn = self.poset.dn
+        for x, row in enumerate(self.mul):
+            if any(map(ne, map(dn[x].__and__, dn), map(dn.__getitem__, row))):
+                raise CheckFailed("product is not the meet")
 
     def ideal(self, mask):
         if mask not in self._ideals:
@@ -363,35 +373,16 @@ def power_combination_covers(ring, s, x, sieve_mask):
     return s.ideal(sieve_mask & s.poset.dn[x]) & s.rep_powers[x] != 0
 
 
-def zariski_closure(ring, s, mask):
-    """Least C-ideal on S(A) containing a set, via the arithmetic test."""
-    po = s.poset
-    out = po.down_closure(mask)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(s.n):
-            if (out >> x) & 1:
-                continue
-            if power_combination_covers(ring, s, x, out & po.dn[x]):
-                out |= po.dn[x]
-                changed = True
-    return out
+def zariski_closure(ring, mask):
+    """Least C-ideal on S(A) containing a set of classes: one j_closure
+    pass on the ring's site."""
+    return j_closure(ring.site.topology, mask)
 
 
 def zariski_ideal_frame(ring, guard=None):
-    """Id_C(S(A)) built from principal closures under join.
-
-    The family is closed under the closed union by construction
-    (`closed_family`), and under intersection because it is the fixed
-    sets of the closure `zariski_closure`."""
-    s = ring.site.s
-    po = s.poset
-    cl = lambda m: zariski_closure(ring, s, m)
-    principals = [cl(po.dn[x]) for x in range(s.n)]
-    elems = closed_family([cl(0)] + principals, principals, or_, close=cl,
-                          bound=config.frame_guard(guard), what="zariski ideal frame")
-    return frame_of_down_sets(sorted(elems), po, join_closure=cl, guard=guard)
+    """Id_C(S(A)), the ideal frame of the ring's site (ideal_frame):
+    joined by D-part, listed from the down-sets of D."""
+    return ideal_frame(ring.site.topology, guard=guard)
 
 
 def zariski_presentation(ring):
@@ -518,7 +509,7 @@ def zariski_lattice(ring, guard=None):
         own lattice of compact elements.
 
     Both read S(A), so its classes are first checked against the prime
-    ideals, found from the ring's ideals alone: a and b share a class iff
+    ideals, found from the ring's tables alone: a and b share a class iff
     they lie in the same primes.  If a^k = bc, then pi a = pi a^k =
     pi b pi c <= pi b in the semilattice, and the idempotent of a class
     is a power of each member; so a and b share a class iff each divides
@@ -538,8 +529,8 @@ def zariski_lattice(ring, guard=None):
         lat = present_semantic(pres)
     if iso_search(lat.frame, fr) is None:
         raise CheckFailed("presented Zariski lattice differs from the ideal-frame construction")
-    D = [fr.index[site.closure(s.poset.dn[s.pi[a]])] for a in range(ring.n)]
-    return fr, D
+    at = [fr.index[zariski_closure(ring, d)] for d in s.poset.dn]
+    return fr, list(map(at.__getitem__, s.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +616,10 @@ def spectra_homeomorphism(ring):
 
 class ZariskiSite:
     """What the Zariski constructions derive from a ring, found on first
-    use and kept (a ring holds its own as `ring.site`): S(A), the frame
-    Id_C(S(A)), the prime ideals, the powers of each element as a mask,
-    generated ideals and C-ideal closures.  Read under a bound below its
-    size, the frame is listed again, and the listing refuses.
+    use and kept (a ring holds its own as `ring.site`): S(A), the
+    topology on it, the frame Id_C(S(A)), the prime ideals, the powers
+    of each element as a mask and generated ideals.  Read under a bound
+    below its size, the frame is listed again, and the listing refuses.
     """
 
     _frame = None
@@ -636,11 +627,28 @@ class ZariskiSite:
     def __init__(self, ring):
         self.ring = ring
         self._ideals = {}
-        self._closures = {}
 
     @cached_property
     def s(self):
         return s_monoid(self.ring)[2]
+
+    @cached_property
+    def topology(self):
+        """The Zariski topology on S(A) as the Site J_D, D the classes x
+        that the classes strictly below x do not cover.
+
+        Every topology on a finite poset is J_D for one D (j_d_sieves),
+        and the sieve dn[x] - {x} covers x in J_D iff x is not in D: one
+        covering test per class finds D.  The points of J_D, the up[d]
+        for d in D, are the prime ideals (spectra_homeomorphism), so a
+        missed prime shows as |D| differing from their number.
+        """
+        s = self.s
+        dmask = mask_of(x for x, d in enumerate(s.poset.dn)
+                        if not power_combination_covers(self.ring, s, x, d & ~(1 << x)))
+        if popcount(dmask) != len(self.primes):
+            raise CheckFailed("the points of the Zariski site are not the prime ideals")
+        return Site(s.poset, dmask, "zariski ideal frame")
 
     def frame(self, guard=None):
         if self._frame is None or self._frame.n > config.frame_guard(guard):
@@ -661,24 +669,20 @@ class ZariskiSite:
             self._ideals[key] = ideal_generated(self.ring, sorted(key))
         return self._ideals[key]
 
-    def closure(self, mask):
-        if mask not in self._closures:
-            self._closures[mask] = zariski_closure(self.ring, self.s, mask)
-        return self._closures[mask]
-
 
 def radical_membership(ring, a, bs):
     """Whether some power of a lies in the ideal generated by bs.
 
     Decided on the ring side by power iteration, and on the lattice side
     by D(a) <= D(b_1) v ... v D(b_r) in Id_C(S(A)); the two must agree.
+    A J_D-ideal is the closure of its D-part, so one lies in another iff
+    its D-part does: the lattice side compares the D-parts.
     """
     site = ring.site
+    s, dmask = site.s, site.topology.dmask
     ring_side = site.ideal(bs) & site.powers[a] != 0
-    s = site.s
-    lhs = site.closure(s.poset.dn[s.pi[a]])
-    rhs = site.closure(mask_of(s.pi[b] for b in bs))
-    lattice_side = lhs & ~rhs == 0
+    rhs = s.poset.down_closure(mask_of(s.pi[b] for b in bs))
+    lattice_side = s.poset.dn[s.pi[a]] & dmask & ~rhs == 0
     if ring_side != lattice_side:
         raise CheckFailed(f"radical membership disagreement at a={a}, bs={bs}")
     return ring_side

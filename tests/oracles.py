@@ -13,7 +13,10 @@ by the loop over all triples.  The Zariski lattice keeps its
 presentation on the ring's elements, one generator D(a) per element,
 against the library's on the classes of S(A); the Zariski coverage is
 kept as sieve tables, each covering family tested by the sums of its
-members, and ring isomorphisms as a search over assignments.  They are
+members, its closure as the fixpoint of the arithmetic covering test,
+with the frame of its fixed sets closed under the closed union, and
+ring isomorphisms as a search over assignments.  The breadth-first
+height walk that iso_search once put in its signature is kept too.  They are
 exponential, or of higher degree than the fast paths, and only meant
 for small carriers.  The
 rest are the direct forms of the table builders: bits by shifting,
@@ -30,6 +33,7 @@ literal definition.
 """
 
 from itertools import combinations, permutations
+from operator import or_
 
 from stonework.bits import bits, mask_of, submasks
 from stonework.corpus import posets_upto
@@ -43,10 +47,10 @@ from stonework.coverage import (
 )
 from stonework.duality import supercompact_elements
 from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
-from stonework.order import closed_family, lower_sets, set_label
+from stonework.order import closed_family, frame_of_down_sets, lower_sets, set_label
 from stonework.presentations import JOIN, MEET, ONE, ZERO, Presentation, is_filtering
 from stonework.spectra import TopSpace, j_prime_filters, space_from_subbasis
-from stonework.zariski import all_ideals
+from stonework.zariski import all_ideals, power_combination_covers
 from stonework import config
 
 
@@ -1001,3 +1005,49 @@ def zariski_coverage(ring, guard=None):
             if _semigroup_sums(ring, y) & set(bits(xclass)):
                 covers[x].add(t)
     return Coverage(po, [frozenset(c) for c in covers])
+
+
+def fixpoint_zariski_closure(ring, s, mask):
+    """Least C-ideal on S(A) containing a set of classes: rounds that add
+    dn[x] for each class x the set covers by the arithmetic test, until
+    a round adds nothing."""
+    po = s.poset
+    out = po.down_closure(mask)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(s.n):
+            if not (out >> x) & 1 and power_combination_covers(ring, s, x, out & po.dn[x]):
+                out |= po.dn[x]
+                changed = True
+    return out
+
+
+def fixpoint_zariski_frame(ring):
+    """Id_C(S(A)) as the principal fixpoint closures closed under the
+    closed union, joined by the fixpoint closure."""
+    s = ring.site.s
+    po = s.poset
+
+    def cl(m):
+        return fixpoint_zariski_closure(ring, s, m)
+
+    principals = [cl(d) for d in po.dn]
+    elems = closed_family([cl(0)] + principals, principals, or_, close=cl)
+    return frame_of_down_sets(sorted(elems), po, join_closure=cl)
+
+
+def height_walk(p, i):
+    """The number of breadth-first steps down from i, each step taking
+    the elements strictly below the last ones not yet seen."""
+    h = 0
+    frontier = p.dn[i] & ~(1 << i)
+    seen = 1 << i
+    while frontier:
+        h += 1
+        nxt = 0
+        for j in bits(frontier):
+            nxt |= p.dn[j] & ~(1 << j)
+        seen |= frontier
+        frontier = nxt & ~seen
+    return h

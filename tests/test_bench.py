@@ -47,6 +47,29 @@ def test_tracer_counts_the_streamed_relations():
             assert tracer._relation_counts((pres,), models) == {"relations": count, "models": len(models)}
 
 
+def test_tracer_keys_the_zariski_site():
+    # the tracer counts an ideal frame built twice in one job by its
+    # site's key, and a ring's Zariski frame is an ideal frame too
+    tracer = _bench_module("tracer").Tracer()
+    site = ring_zmod(30).site
+    fr = site.frame()
+    assert [tracer._ideal_frame_counts((site.topology,), fr) for _ in range(2)] == \
+        [{"elements": fr.n, "repeats": 0}, {"elements": fr.n, "repeats": 1}]
+
+
+def test_boolean_ring_output_is_pinned(tmp_path, monkeypatch):
+    # F2^7 from the benchmark's table generator: 128 classes of S(A), a
+    # 128-element frame, the bytes recorded before its site became J_D
+    monkeypatch.delenv("STONEWORK_GUARD", raising=False)
+    path = tmp_path / "f2_7.json"
+    path.write_text(json.dumps(_bench_module("inputs").generate(["ring", [2] * 7, 0])[0]))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["zariski", "--ring", str(path)]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "b70a96996d44325c7708a9ebf08cf9ab699126ea4f69fb84bb2158b0620c467b"
+
+
 @pytest.mark.parametrize("workload, count",
                          [("zariski-rings", 73), ("point-spectra", 113), ("ideal-frames", 57)],
                          ids=["zariski-rings", "point-spectra", "ideal-frames"])

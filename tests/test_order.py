@@ -44,6 +44,7 @@ from oracles import (
     cell_frame_tables,
     cell_order_tables,
     cubic_frame_check,
+    height_walk,
     least_iso,
     pairwise_dn,
     pairwise_inclusion_up,
@@ -476,6 +477,17 @@ class TestIsoSearch:
                 assert wit is not None and frame_hom_failure(x, y, wit) is None, p
             lattices += 1
         assert lattices == 25  # 1, 1, 1, 2, 5 and 15 lattices of 1 to 6 elements
+
+    def test_height_walk_adds_nothing_to_the_signature(self):
+        # dn[i] is down-closed, so the first step down from i already
+        # reaches everything below it: the walk is 1 iff i has anything
+        # below it, which popcount(dn[i]) already tells
+        elements = 0
+        for p in posets_upto(6):
+            for i in range(p.n):
+                assert height_walk(p, i) == (popcount(p.dn[i]) > 1), (p, i)
+            elements += p.n
+        assert elements == 2307
 
     def test_no_recursion_limit(self):
         # one search step per element, past the interpreter's default

@@ -1,5 +1,6 @@
 """zariski: rings, S(A), the coverage, L(A), spectra, radicals, op-ideals."""
 
+import json
 import random
 from collections import Counter
 from functools import cache, reduce
@@ -8,7 +9,7 @@ from math import prod
 
 import pytest
 
-from stonework.bits import bits, mask_of
+from stonework.bits import bits, mask_of, popcount
 from stonework.coverage import j_closure, saturate
 from stonework.errors import CheckFailed, GuardExceeded, InvalidStructure
 from stonework.order import frame_hom_failure, iso_search
@@ -48,6 +49,9 @@ from oracles import (
     element_presentation,
     eval_code,
     fixpoint_s_congruence,
+    fixpoint_zariski_closure,
+    fixpoint_zariski_frame,
+    height_walk,
     ring_iso_search,
     zariski_coverage,
 )
@@ -65,6 +69,22 @@ def prime_field_products(bound):
 def non_reduced_products():
     """Z/4 x Z/2, Z/4 x Z/3 and Z/9 x Z/2, which have nonzero nilpotents."""
     return [ring_product(ring_zmod(p), ring_zmod(q)) for p, q in ((4, 2), (4, 3), (9, 2))]
+
+
+def small_products(bound):
+    """Products of two or more of Z/2, ..., Z/9 with at most `bound`
+    elements, F2^k among them."""
+    for k in range(2, bound.bit_length()):
+        for ms in combinations_with_replacement(range(2, 10), k):
+            if prod(ms) <= bound:
+                yield reduce(ring_product, map(ring_zmod, ms))
+
+
+@cache
+def closure_rings():
+    """Z/n for n <= 120 and the products of Z/2, ..., Z/9 with at most
+    64 elements, F2^6 the largest S(A) at 64 classes."""
+    return tuple([ring_zmod(n) for n in range(1, 121)] + list(small_products(64)))
 
 
 @cache
@@ -227,6 +247,14 @@ class TestIdeals:
             divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
             assert len(all_ideals(ring_zmod(n))) == divisors, n
 
+    def test_ideals_of_products_of_zmod_are_principal(self):
+        # a product of rings Z/n is a principal ideal ring (I x J is
+        # generated by (g, h) when g and h generate I and J), so all_ideals,
+        # seeded from the rows of the product table, lists the ideals
+        # generated by one element each
+        for r in oracle_rings():
+            assert all_ideals(r) == sorted({ideal_generated(r, [g]) for g in range(r.n)}), r.n
+
     def test_ideal_generated_matches_naive_fixpoint(self):
         rings = [ring_zmod(n) for n in range(1, 31)] + list(prime_field_products(36))
         for r in rings:
@@ -303,6 +331,13 @@ class TestSMonoid:
         for r in oracle_rings():
             assert list(s_monoid(r)[2].classes) == fixpoint_s_congruence(r), r.n
 
+    def test_a_product_that_is_not_the_meet_is_caught(self, monkeypatch):
+        # S(A) ordered upside down, where its products are joins
+        real = zariski.Poset
+        monkeypatch.setattr(zariski, "Poset", lambda n, up, labels: real(n, up, labels=labels).op())
+        with pytest.raises(CheckFailed, match="product is not the meet"):
+            s_monoid(ring_zmod(6))
+
     def test_product_monoid(self):
         r = ring_product(ring_zmod(2), ring_zmod(2))
         po, pi, s = s_monoid(r)
@@ -339,8 +374,40 @@ class TestCoverage:
             r = ring_zmod(n)
             po, pi, s = s_monoid(r)
             J = saturate(zariski_coverage(r))
+            assert r.site.topology.dmask == J.dmask
             for m in po.down_sets():
-                assert zariski_closure(r, s, m) == j_closure(J, m)
+                assert zariski_closure(r, m) == j_closure(J, m)
+
+    def test_closure_matches_fixpoint(self):
+        # every down-set of S(A) up to 16 classes; past that the
+        # principal down-sets and their pairwise unions
+        for r in closure_rings():
+            s = r.site.s
+            dn = s.poset.dn
+            masks = s.poset.down_sets() if s.n <= 16 else \
+                [a | b for i, a in enumerate(dn) for b in dn[i:]]
+            for m in masks:
+                assert zariski_closure(r, m) == fixpoint_zariski_closure(r, s, m), (r.n, m)
+
+    def test_frame_and_primes_match_fixpoint_oracles(self):
+        for r in closure_rings():
+            fr = fixpoint_zariski_frame(r)
+            assert zariski_ideal_frame(r).element_masks == fr.element_masks, r.n
+            assert prime_ideals(r) == brute_prime_ideals(r), r.n
+            # iso_search's signature dropped the height walk
+            assert all(height_walk(fr.poset, i) == (popcount(d) > 1)
+                       for i, d in enumerate(fr.poset.dn)), r.n
+
+    def test_a_missed_prime_is_caught(self, monkeypatch, capsys):
+        from stonework.cli import main
+
+        real = zariski.prime_ideals
+        monkeypatch.setattr(zariski, "prime_ideals", lambda ring: real(ring)[1:])
+        with pytest.raises(CheckFailed, match="not the prime ideals"):
+            ring_zmod(30).site.topology
+        assert main(["zariski", "--ring", "zmod:30"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "CheckFailed", "message": "the points of the Zariski site are not the prime ideals"}
 
 
 class TestLattice:
@@ -458,7 +525,7 @@ class TestLattice:
             r = ring_zmod(n)
             _, _, s = s_monoid(r)
             fr = zariski_ideal_frame(r)
-            meet, join = cell_frame_tables(fr.element_masks, lambda m: zariski_closure(r, s, m))
+            meet, join = cell_frame_tables(fr.element_masks, lambda m: fixpoint_zariski_closure(r, s, m))
             assert fr.meet == tuple(map(tuple, meet)) and fr.join == tuple(map(tuple, join)), n
 
 
